@@ -557,6 +557,10 @@ def main(argv=None) -> int:
         if args.command == "transform-chain":
             return cmd_transform_chain(cfg)
         return cmd_verify(cfg)
+    except np.linalg.LinAlgError as exc:
+        # A ValueError subclass, but a numerical failure, not bad input.
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ConfigError, ValueError, TypeError) as exc:
         # Library-level ValueError/TypeError signal invalid caller input
         # (bad partition kind, quad_nodes < 2, negative seed, ...).

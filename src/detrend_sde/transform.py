@@ -94,8 +94,12 @@ def _eval_single(tc: TransformedCoefficients, t: float, y: np.ndarray):
     try:
         m, s = tc.evaluate_batch(t, y[None, :])
     except Exception as exc:
-        raise type(exc)(f"{exc} (while transforming at t={t!r}, y={y.tolist()})") \
-            from exc
+        # Amend the message in place so attributes such as t_reached or
+        # residual survive the re-raise.
+        head = exc.args[0] if exc.args else ""
+        exc.args = (f"{head} (while transforming at t={t!r}, y={y.tolist()})",
+                    *exc.args[1:])
+        raise
     return m[0], s[0]
 
 

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from detrend_sde import (InversionError, builtin_model, broken_line,
-                         inverse_jacobian_product, invert_broken_line,
-                         jacobian_limit_check, make_partition,
-                         product_jacobian, simulate_chain, simulate_original,
-                         transform_chain)
+                         drift_from_function, inverse_jacobian_product,
+                         invert_broken_line, jacobian_limit_check,
+                         make_partition, product_jacobian, simulate_chain,
+                         simulate_original, transform_chain)
+from detrend_sde.chain import ChainRun, solve_small
 from tests.conftest import make_swap_drift
 
 TELESCOPE_TOL = 1e-12
@@ -205,13 +206,48 @@ def test_jacobian_limit_order(sine2_model):
     assert tab.monotone_violations == 0
 
 
-def test_chain_blocks_independent_of_threads(sine2_model, monkeypatch):
-    import detrend_sde.chain as chain_mod
-    monkeypatch.setattr(chain_mod, "_PATH_BLOCK", 3)
-    p = make_partition(16, "uniform", T=sine2_model.horizon)
-    run = simulate_chain(sine2_model, p, 10, seed=6)
-    serial = transform_chain(sine2_model, p, run)
-    monkeypatch.setenv("DETREND_SDE_THREADS", "4")
-    threaded = transform_chain(sine2_model, p, run)
-    assert np.array_equal(serial.states, threaded.states)
-    assert np.array_equal(serial.m_coeffs, threaded.m_coeffs)
+def test_chain_path_subset_bitwise(sine2_model):
+    # Every row of the layer Newton converges on its own test, so a path
+    # gets the same bits whichever paths share its batch.
+    # (At this size a batch-wide stopping test changes these rows.)
+    p = make_partition(32, "geometric", T=sine2_model.horizon, c=1.0)
+    run = simulate_chain(sine2_model, p, 24, seed=1)
+    full = transform_chain(sine2_model, p, run)
+    idx = np.array([17, 0, 5])
+    sub_run = ChainRun(partition=p, states=run.states[idx],
+                       innovations=run.innovations[idx], seed=run.seed,
+                       flagged=run.flagged[idx])
+    sub = transform_chain(sine2_model, p, sub_run)
+    for name in ("states", "m_coeffs", "sigma_coeffs", "identity_residuals",
+                 "reconstruction_residuals"):
+        assert np.array_equal(getattr(sub, name), getattr(full, name)[idx]), name
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("batch", [1, 7, 300])
+def test_solve_small_matches_lapack(d, batch):
+    rng = np.random.default_rng(10 * d + batch)
+    A = np.eye(d) + 0.3 * rng.standard_normal((batch, d, d))
+    b = rng.standard_normal((batch, d))
+    B = rng.standard_normal((batch, d, 3))
+    assert np.linalg.cond(A).max() < 1e3
+    assert_allclose(solve_small(A, b),
+                    np.linalg.solve(A, b[..., None])[..., 0], rtol=0, atol=1e-13)
+    assert_allclose(solve_small(A, B), np.linalg.solve(A, B), rtol=0, atol=1e-13)
+    # No batch axis: one system, as inverse_jacobian_product uses it.
+    assert_allclose(solve_small(A[0], B[0]), np.linalg.solve(A[0], B[0]),
+                    rtol=0, atol=1e-13)
+
+
+def test_singular_layer_raises_inversion_error():
+    # I + h F_x vanishes identically, although the declared m_f passes
+    # the contraction guard: no layer Newton can converge, and the
+    # closed-form solve gives inf instead of raising.
+    p = make_partition(4, "uniform", T=1.0)
+    h = p.steps[0]
+    drift = drift_from_function(lambda t, x: -x / h, dim=1, m_f=0.1,
+                                jac=lambda t, x: np.full(x.shape + (1,), -1.0 / h),
+                                hess=lambda t, x: np.zeros(x.shape + (1, 1)))
+    with pytest.raises(InversionError) as exc:
+        invert_broken_line(drift, p, 2, np.array([0.3]))
+    assert not np.isfinite(exc.value.residual)

@@ -4,9 +4,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from detrend_sde import __version__
+from detrend_sde import __version__, cli
 from detrend_sde.cli import (EXIT_ASSUMPTION, EXIT_CONFIG, EXIT_NUMERICAL,
                              EXIT_OK, ExperimentConfig, load_config, main)
 
@@ -126,6 +127,16 @@ def test_verify_numeric_failure_exits_4(tmp_path):
     code = main(["verify", "--set", "transform.flow_tol=0.01",
                  "--set", 'suite=["assumptions","flow_roundtrip"]',
                  "--out", str(tmp_path)])
+    assert code == EXIT_NUMERICAL
+
+
+def test_linalg_error_exits_4(tmp_path, monkeypatch):
+    # LinAlgError subclasses ValueError but is a numerical failure, not
+    # a configuration error.
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+    monkeypatch.setattr(cli, "transform_chain", singular)
+    code = main(["transform-chain", *FAST_CHAIN, "--out", str(tmp_path)])
     assert code == EXIT_NUMERICAL
 
 

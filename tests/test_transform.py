@@ -5,7 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
-from detrend_sde import (ModelSpec, builtin_model, make_transform, map_back,
+from detrend_sde import (FlowIntegrationError, ModelSpec, builtin_model,
+                         make_transform, map_back,
                          pushforward_discrepancy, simulate_original,
                          simulate_transformed)
 from tests.conftest import (FROZEN, SINE1_T, SINE1_X, SWAP2_T, SWAP2_X,
@@ -45,6 +46,21 @@ def test_quadratic_closed_form_fixes_correction_sign():
     m_t, s_t = tc.evaluate_batch(t, np.array([[x]]))
     assert_allclose(s_t[0, 0, 0], u ** 2, rtol=CLOSED_FORM_TOL)
     assert_allclose(m_t[0, 0], u ** 2 * (0.5 - t * u), rtol=CLOSED_FORM_TOL)
+
+
+def test_single_point_failure_keeps_its_context():
+    # g = x/(1 - t x) explodes at t = 1/2 for x = 2: the error raised
+    # from a single-point coefficient call is the integrator's own,
+    # with t_reached intact and the point added to its message.
+    base = builtin_model("zero_drift", dim=1)
+    model = ModelSpec(drift=quadratic_drift(), bounded_drift=base.bounded_drift,
+                      sigma=base.sigma, lambda_=base.lambda_, dim=1,
+                      horizon=1.0, x0=np.array([0.0]), name="quadratic")
+    tc = make_transform(model)
+    with pytest.raises(FlowIntegrationError) as exc:
+        tc.m_tilde(1.0, np.array([2.0]))
+    assert 0.4 <= exc.value.t_reached <= 0.51
+    assert "while transforming at t=1.0, y=[2.0]" in str(exc.value)
 
 
 def test_sine1_frozen_coefficients(sine1_model):
