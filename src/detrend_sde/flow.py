@@ -71,42 +71,44 @@ def _rhs_state(drift: DriftSpec):
     return rhs
 
 
-def _rhs_first(drift: DriftSpec, d: int):
+def _bilinear(T: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """out[b, i, j, k] = sum_{l,p} T[b, i, l, p] A[b, l, j] A[b, p, k],
+    as two batched matmuls (a three-operand einsum is much slower)."""
+    return np.swapaxes(A, 1, 2)[:, None] @ (T @ A[:, None])
+
+
+def _rhs_jet(drift: DriftSpec, d: int, order: int):
+    """Right-hand side of the augmented state [y, Z, M, (W,) s]."""
     dd = d * d
+    w = slice(d + 2 * dd, d + 2 * dd + d * dd)
 
     def rhs(t, u):
         y = u[:, :d]
-        Z = u[:, d:d + dd].reshape(-1, d, d)
-        M = u[:, d + dd:d + 2 * dd].reshape(-1, d, d)
-        F = drift.f(t, y)
-        J = drift.jac(t, y)
+        if order == 2:
+            F, J, H = drift.derivatives(t, y)
+        else:
+            F, J = drift.f(t, y), drift.jac(t, y)
         out = np.empty_like(u)
         out[:, :d] = F
-        out[:, d:d + dd] = (J @ Z).reshape(-1, dd)
-        out[:, d + dd:d + 2 * dd] = (-(M @ J)).reshape(-1, dd)
-        out[:, -1] = np.einsum("bii->b", J)
-        return out
-    return rhs
-
-
-def _rhs_full(drift: DriftSpec, d: int):
-    dd, ddd = d * d, d * d * d
-
-    def rhs(t, u):
-        y = u[:, :d]
-        Z = u[:, d:d + dd].reshape(-1, d, d)
-        M = u[:, d + dd:d + 2 * dd].reshape(-1, d, d)
-        W = u[:, d + 2 * dd:d + 2 * dd + ddd].reshape(-1, d, d, d)
-        F = drift.f(t, y)
-        J = drift.jac(t, y)
-        H = drift.hess(t, y)
-        out = np.empty_like(u)
-        out[:, :d] = F
-        out[:, d:d + dd] = (J @ Z).reshape(-1, dd)
-        out[:, d + dd:d + 2 * dd] = (-(M @ J)).reshape(-1, dd)
-        dW = np.einsum("bil,bljk->bijk", J, W) \
-            + np.einsum("bilp,blj,bpk->bijk", H, Z, Z)
-        out[:, d + 2 * dd:d + 2 * dd + ddd] = dW.reshape(-1, ddd)
+        if d == 1:
+            # Scalar jets: every product is an elementwise one.
+            j = J.reshape(-1)
+            np.multiply(j, u[:, 1], out=out[:, 1])
+            np.multiply(u[:, 2], j, out=out[:, 2])
+            np.negative(out[:, 2], out=out[:, 2])
+            if order == 2:
+                out[:, 3] = j * u[:, 3] + H.reshape(-1) * u[:, 1] * u[:, 1]
+            out[:, -1] = j
+            return out
+        b = u.shape[0]
+        Z = u[:, d:d + dd].reshape(b, d, d)
+        M = u[:, d + dd:d + 2 * dd].reshape(b, d, d)
+        out[:, d:d + dd] = (J @ Z).reshape(b, dd)
+        out[:, d + dd:d + 2 * dd] = (-(M @ J)).reshape(b, dd)
+        if order == 2:
+            W = u[:, w].reshape(b, d, dd)
+            dW = J @ W + _bilinear(H, Z).reshape(b, d, dd)
+            out[:, w] = dW.reshape(b, d * dd)
         out[:, -1] = np.einsum("bii->b", J)
         return out
     return rhs
@@ -159,8 +161,7 @@ def flow_jet_many(drift: DriftSpec, t0: float, t1: float, xs: np.ndarray,
     eye = np.eye(d).ravel()
     u0[:, d:d + dd] = eye
     u0[:, d + dd:d + 2 * dd] = eye
-    rhs = _rhs_full(drift, d) if order == 2 else _rhs_first(drift, d)
-    u = rk.integrate(rhs, t0, t1, u0, rtol=tol)
+    u = rk.integrate(_rhs_jet(drift, d, order), t0, t1, u0, rtol=tol)
     out = {
         "g": u[:, :d].copy(),
         "g_star": u[:, d:d + dd].reshape(b, d, d).copy(),
@@ -174,7 +175,7 @@ def flow_jet_many(drift: DriftSpec, t0: float, t1: float, xs: np.ndarray,
     if order == 2:
         W = u[:, d + 2 * dd:d + 2 * dd + ddd].reshape(b, d, d, d)
         M = out["g_star_inv"]
-        out["c"] = np.einsum("bilp,bpj,blk->bijk", W, M, M)
+        out["c"] = np.swapaxes(_bilinear(W, M), 2, 3)
     return out
 
 
