@@ -71,44 +71,36 @@ def _rhs_state(drift: DriftSpec):
     return rhs
 
 
-def _bilinear(T: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """out[b, i, j, k] = sum_{l,p} T[b, i, l, p] A[b, l, j] A[b, p, k],
-    as two batched matmuls (a three-operand einsum is much slower)."""
-    return np.swapaxes(A, 1, 2)[:, None] @ (T @ A[:, None])
-
-
 def _rhs_jet(drift: DriftSpec, d: int, order: int):
     """Right-hand side of the augmented state [y, Z, M, (W,) s]."""
-    dd = d * d
-    w = slice(d + 2 * dd, d + 2 * dd + d * dd)
+    dd, ddd = d * d, d * d * d
+    w = slice(d + 2 * dd, d + 2 * dd + ddd)
 
     def rhs(t, u):
         y = u[:, :d]
-        if order == 2:
-            F, J, H = drift.derivatives(t, y)
-        else:
-            F, J = drift.f(t, y), drift.jac(t, y)
         out = np.empty_like(u)
-        out[:, :d] = F
+        out[:, :d] = drift.f(t, y)
+        J = drift.jac(t, y)
+        H = drift.hess(t, y) if order == 2 else None
         if d == 1:
-            # Scalar jets: every product is an elementwise one.
+            # Every product is a scalar one, and elementwise products
+            # cost less than batched matmuls and einsums over 1x1 blocks.
             j = J.reshape(-1)
-            np.multiply(j, u[:, 1], out=out[:, 1])
-            np.multiply(u[:, 2], j, out=out[:, 2])
-            np.negative(out[:, 2], out=out[:, 2])
+            out[:, 1] = j * u[:, 1]
+            out[:, 2] = -(u[:, 2] * j)
             if order == 2:
                 out[:, 3] = j * u[:, 3] + H.reshape(-1) * u[:, 1] * u[:, 1]
             out[:, -1] = j
             return out
-        b = u.shape[0]
-        Z = u[:, d:d + dd].reshape(b, d, d)
-        M = u[:, d + dd:d + 2 * dd].reshape(b, d, d)
-        out[:, d:d + dd] = (J @ Z).reshape(b, dd)
-        out[:, d + dd:d + 2 * dd] = (-(M @ J)).reshape(b, dd)
+        Z = u[:, d:d + dd].reshape(-1, d, d)
+        M = u[:, d + dd:d + 2 * dd].reshape(-1, d, d)
+        out[:, d:d + dd] = (J @ Z).reshape(-1, dd)
+        out[:, d + dd:d + 2 * dd] = (-(M @ J)).reshape(-1, dd)
         if order == 2:
-            W = u[:, w].reshape(b, d, dd)
-            dW = J @ W + _bilinear(H, Z).reshape(b, d, dd)
-            out[:, w] = dW.reshape(b, d * dd)
+            W = u[:, w].reshape(-1, d, d, d)
+            dW = np.einsum("bil,bljk->bijk", J, W) \
+                + np.einsum("bilp,blj,bpk->bijk", H, Z, Z)
+            out[:, w] = dW.reshape(-1, ddd)
         out[:, -1] = np.einsum("bii->b", J)
         return out
     return rhs
@@ -175,7 +167,7 @@ def flow_jet_many(drift: DriftSpec, t0: float, t1: float, xs: np.ndarray,
     if order == 2:
         W = u[:, d + 2 * dd:d + 2 * dd + ddd].reshape(b, d, d, d)
         M = out["g_star_inv"]
-        out["c"] = np.swapaxes(_bilinear(W, M), 2, 3)
+        out["c"] = np.einsum("bilp,bpj,blk->bijk", W, M, M)
     return out
 
 

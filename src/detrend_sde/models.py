@@ -39,31 +39,12 @@ class DriftSpec:
     name: str = ""
     jac_from_fd: bool = False
     hess_from_fd: bool = False
-    # (fused, f, jac, hess): see fuse().
-    _fused: tuple | None = field(default=None, init=False, repr=False,
-                                 compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         if not (self.m_f >= 0.0 and np.isfinite(self.m_f)):
             raise ValueError("m_f must be finite and nonnegative")
-
-    def fuse(self, fused: Callable) -> "DriftSpec":
-        """Register fused(t, x) -> (f, jac, hess), one call that shares
-        work between the three.  It serves derivatives() only while f,
-        jac and hess are still the callables registered here, so a
-        replaced or wrapped callable is always the one evaluated."""
-        self._fused = (fused, self.f, self.jac, self.hess)
-        return self
-
-    def derivatives(self, t: float, x: np.ndarray):
-        """(f, jac, hess) at (t, x)."""
-        if self._fused is not None:
-            fused, f, jac, hess = self._fused
-            if f is self.f and jac is self.jac and hess is self.hess:
-                return fused(t, x)
-        return self.f(t, x), self.jac(t, x), self.hess(t, x)
 
 
 @dataclass
@@ -297,18 +278,6 @@ def _const_matrix(s: np.ndarray):
     return sigma
 
 
-def _diagonal(v: np.ndarray, rank: int) -> np.ndarray:
-    """Rank-`rank` tensor over the trailing axis of v (length d) with
-    v[..., i] at [..., i, ..., i] and zeros elsewhere."""
-    d = v.shape[-1]
-    if d == 1:
-        return v.reshape(v.shape + (1,) * (rank - 1))
-    out = np.zeros(v.shape + (d,) * (rank - 1))
-    # The diagonal of the flattened trailing axes is a strided view.
-    out.reshape(v.shape[:-1] + (-1,))[..., ::(d**rank - 1) // (d - 1)] = v
-    return out
-
-
 def _zeros_like_field():
     def f(t, x):
         return np.zeros_like(np.asarray(x, dtype=float))
@@ -397,25 +366,25 @@ def _sine_model(alpha=1.0, beta=1.0, dim=1, horizon=1.0, x0=None, m0=0.5, sigma0
     if alpha < 0 or beta <= 0:
         raise ValueError("alpha must be >= 0 and beta > 0")
 
-    ab, ab2 = alpha * beta, -alpha * beta**2
-
     def f(t, x):
         return alpha * np.sin(beta * np.asarray(x, dtype=float))
 
     def jac(t, x):
-        return _diagonal(ab * np.cos(beta * np.asarray(x, dtype=float)), 2)
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape + (dim,))
+        idx = np.arange(dim)
+        out[..., idx, idx] = alpha * beta * np.cos(beta * x)
+        return out
 
     def hess(t, x):
-        return _diagonal(ab2 * np.sin(beta * np.asarray(x, dtype=float)), 3)
-
-    def fused(t, x):
-        bx = beta * np.asarray(x, dtype=float)
-        s = np.sin(bx)
-        return alpha * s, _diagonal(ab * np.cos(bx), 2), _diagonal(ab2 * s, 3)
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape + (dim, dim))
+        idx = np.arange(dim)
+        out[..., idx, idx, idx] = -alpha * beta**2 * np.sin(beta * x)
+        return out
 
     m_f = max(alpha * beta, alpha * beta**2)
-    drift = DriftSpec(f=f, jac=jac, hess=hess, m_f=m_f, dim=dim,
-                      name="sine").fuse(fused)
+    drift = DriftSpec(f=f, jac=jac, hess=hess, m_f=m_f, dim=dim, name="sine")
     s, lam = _resolve_sigma(sigma0, dim)
     x0 = np.full(dim, 0.5) if x0 is None else np.asarray(x0, dtype=float)
     return ModelSpec(drift=drift, bounded_drift=_const_vector(_resolve_m0(m0, dim)),
@@ -452,14 +421,9 @@ def _logistic_model(a=1.0, horizon=1.0, x0=None, m0=0.5, sigma0=1.0):
         s = _s(x)
         return (a * s * (1.0 - s) * (1.0 - 2.0 * s))[..., None, None]
 
-    def fused(t, x):
-        s = _s(np.asarray(x, dtype=float))
-        ds = a * s * (1.0 - s)
-        return a * (s - 0.5), ds[..., None], (ds * (1.0 - 2.0 * s))[..., None, None]
-
     # sup|s'| = 1/4 dominates sup|s''| = 1/(6*sqrt(3)).
     drift = DriftSpec(f=f, jac=jac, hess=hess, m_f=a / 4.0, dim=dim,
-                      name="scalar_logistic_bounded").fuse(fused)
+                      name="scalar_logistic_bounded")
     s_mat, lam = _resolve_sigma(sigma0, dim)
     x0 = np.array([0.0]) if x0 is None else np.asarray(x0, dtype=float)
     return ModelSpec(drift=drift, bounded_drift=_const_vector(_resolve_m0(m0, dim)),

@@ -9,8 +9,6 @@ step-for-step reproducibility studies.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import FlowIntegrationError
@@ -28,54 +26,30 @@ _A = (
 # y5 - y4 expansion coefficients over the seven stages.
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
-
-def _row(coefs: tuple) -> tuple:
-    """(first stage, its coefficient, the other nonzero (stage,
-    coefficient) pairs) of a tableau row."""
-    pairs = [(j, a) for j, a in enumerate(coefs) if a != 0.0]
-    return pairs[0] + (tuple(pairs[1:]),)
-
-
-_ROWS = tuple(_row(row) for row in _A)
-_E_ROW = _row(_E)
-# Time of the slope taken at each row's point; the last row is y_new,
-# whose slope is the FSAL stage k7.
-_C = (_C2, _C3, _C4, _C5, 1.0, 1.0)
-
 _ORDER = 5
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
-_IN_PLACE_MIN_SIZE = 256
 
 
 def _rms(v: np.ndarray) -> float:
-    return math.sqrt(float(np.square(v).sum()) / v.size)
-
-
-def _combine(ks: list, row: tuple) -> np.ndarray:
-    """sum_j a_j k_j over a tableau row, added left to right (the
-    roundings of the written-out sum)."""
-    j0, a0, rest = row
-    acc = ks[j0] * a0
-    # Accumulating in place saves a temporary per term on batches, but
-    # numpy's in-place path costs more per call than it saves on the
-    # few-element states of single-point solves.
-    if acc.size < _IN_PLACE_MIN_SIZE:
-        for j, a in rest:
-            acc = acc + ks[j] * a
-    else:
-        for j, a in rest:
-            acc += ks[j] * a
-    return acc
+    return float(np.sqrt(np.mean(np.square(v))))
 
 
 def _stages(rhs, t: float, y: np.ndarray, h: float, k1: np.ndarray):
-    ks = [k1]
-    for c, row in zip(_C, _ROWS):
-        u = y + h * _combine(ks, row)
-        ks.append(rhs(t + c * h, u))
-    return u, ks[-1], h * _combine(ks, _E_ROW)
+    k2 = rhs(t + _C2 * h, y + h * (_A[0][0] * k1))
+    k3 = rhs(t + _C3 * h, y + h * (_A[1][0] * k1 + _A[1][1] * k2))
+    k4 = rhs(t + _C4 * h, y + h * (_A[2][0] * k1 + _A[2][1] * k2 + _A[2][2] * k3))
+    k5 = rhs(t + _C5 * h, y + h * (_A[3][0] * k1 + _A[3][1] * k2 + _A[3][2] * k3
+                                   + _A[3][3] * k4))
+    k6 = rhs(t + h, y + h * (_A[4][0] * k1 + _A[4][1] * k2 + _A[4][2] * k3
+                             + _A[4][3] * k4 + _A[4][4] * k5))
+    y_new = y + h * (_A[5][0] * k1 + _A[5][2] * k3 + _A[5][3] * k4
+                     + _A[5][4] * k5 + _A[5][5] * k6)
+    k7 = rhs(t + h, y_new)
+    err = h * (_E[0] * k1 + _E[2] * k3 + _E[3] * k4 + _E[4] * k5
+               + _E[5] * k6 + _E[6] * k7)
+    return y_new, k7, err
 
 
 def _initial_step(rhs, t0: float, y0: np.ndarray, f0: np.ndarray,
@@ -128,7 +102,6 @@ def integrate(rhs, t0: float, t1: float, y0: np.ndarray, rtol: float = 1e-10,
     h = _initial_step(rhs, t0, y, k1, direction, span, rtol, atol)
     err_prev = 1e-4
     tiny = 16 * np.finfo(float).eps
-    abs_y = np.abs(y)
 
     for _ in range(max_steps):
         if (t - t1) * direction >= 0:
@@ -141,13 +114,12 @@ def integrate(rhs, t0: float, t1: float, y0: np.ndarray, rtol: float = 1e-10,
         if not np.all(np.isfinite(y_new)):
             raise FlowIntegrationError(
                 f"non-finite state at t={t!r}", t_reached=t)
-        abs_new = np.abs(y_new)
-        err_norm = _rms(err / (atol + rtol * np.maximum(abs_y, abs_new)))
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        err_norm = _rms(err / scale)
         if err_norm <= 1.0:
             t = t1 if abs(t + direction * h - t1) < tiny * max(1.0, abs(t1)) \
                 else t + direction * h
             y = y_new
-            abs_y = abs_new
             k1 = k7
             base = max(err_norm, 1e-10)
             factor = _SAFETY * base ** (-0.7 / _ORDER) * err_prev ** (0.4 / _ORDER)

@@ -109,7 +109,9 @@ class PathEnsemble:
 
     paths has shape (n_paths, n_steps + 1, dim); flagged marks paths
     that left the floating-point range (they keep NaNs from the first
-    bad step on, and the run continues).
+    bad step on, and the run continues).  simulate_transformed also
+    keeps g_steps = g(t_k; 0, paths[:, k]) for k < n_steps, which its
+    coefficient solves compute on the way (NaN on flagged paths).
     """
 
     times: np.ndarray
@@ -117,9 +119,7 @@ class PathEnsemble:
     seed: int
     scheme: str
     flagged: np.ndarray = field(default=None)
-    # simulate_transformed only: g(t_k; 0, paths[:, k]), which its
-    # coefficient solves produce on the way (NaN on flagged paths).
-    _mapped: np.ndarray | None = field(default=None, repr=False, compare=False)
+    g_steps: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.flagged is None:
@@ -194,8 +194,8 @@ def simulate_transformed(tc: TransformedCoefficients, n_steps: int, n_paths: int
     model = tc.source
     times = np.linspace(0.0, model.horizon, n_steps + 1)
     times[-1] = model.horizon
-    mapped = np.empty((n_paths, n_steps + 1, model.dim))
-    columns = iter(mapped.transpose(1, 0, 2))
+    g_steps = np.empty((n_paths, n_steps, model.dim))
+    columns = iter(g_steps.transpose(1, 0, 2))
 
     def coeff(t, y):
         g = next(columns)
@@ -216,13 +216,10 @@ def simulate_transformed(tc: TransformedCoefficients, n_steps: int, n_paths: int
 
     paths, flagged, _ = _simulate_paths(times, model.x0, n_paths, seed,
                                         coeff, model.dim)
-    last = np.where(flagged[:, None], model.x0, paths[:, -1, :])
-    mapped[:, -1, :] = advance_flow_many(model.drift, 0.0, float(times[-1]),
-                                         last, tol=tc.flow_tol)
-    mapped[flagged, 1:, :] = np.nan
+    g_steps[flagged, 1:, :] = np.nan
     return PathEnsemble(times=times, paths=paths, seed=seed,
                         scheme=SCHEME_TRANSFORMED, flagged=flagged,
-                        _mapped=mapped)
+                        g_steps=g_steps)
 
 
 def map_back(tc: TransformedCoefficients, ensemble: PathEnsemble) -> PathEnsemble:
@@ -269,15 +266,19 @@ def pushforward_discrepancy(model: ModelSpec, tc: TransformedCoefficients,
     """Simulate both schemes with shared noise, map the transformed one
     back, and tabulate ||Y_k - g(t_k; 0, Yt_k)|| over time.
 
-    The map back reuses the g that the transformed run's coefficient
-    solves computed; only the last time needs a flow solve of its own.
+    The map back reuses the transformed run's g_steps; only the last
+    time needs a flow solve of its own, on the batch map_back uses.
     """
     orig = simulate_original(model, n_steps, n_paths, seed)
     trans = simulate_transformed(tc, n_steps, n_paths, seed)
     ok = ~(orig.flagged | trans.flagged)
     if not np.any(ok):
         raise ValueError("every path overflowed; nothing to compare")
-    diff = np.linalg.norm(orig.paths[ok] - trans._mapped[ok], axis=2)
+    last = np.where(trans.flagged[:, None], model.x0, trans.paths[:, -1, :])
+    last = advance_flow_many(model.drift, 0.0, float(trans.times[-1]), last,
+                             tol=tc.flow_tol)
+    mapped = np.concatenate((trans.g_steps, last[:, None, :]), axis=1)
+    diff = np.linalg.norm(orig.paths[ok] - mapped[ok], axis=2)
     return DiscrepancyTable(times=orig.times.copy(),
                             mean=diff.mean(axis=0), max=diff.max(axis=0),
                             n_steps=n_steps, n_paths=n_paths, seed=seed,

@@ -11,6 +11,7 @@ from detrend_sde import (InversionError, builtin_model, broken_line,
                          invert_broken_line, jacobian_limit_check,
                          make_partition, product_jacobian, simulate_chain,
                          simulate_original, transform_chain)
+from detrend_sde import chain
 from detrend_sde.chain import ChainRun, solve_small
 from tests.conftest import make_swap_drift
 
@@ -206,9 +207,10 @@ def test_jacobian_limit_order(sine2_model):
     assert tab.monotone_violations == 0
 
 
-def test_chain_path_subset_bitwise(sine2_model):
+def test_chain_path_subset_bitwise(sine2_model, monkeypatch):
     # Every row of the layer Newton converges on its own test, so a path
-    # gets the same bits whichever paths share its batch.
+    # gets the same bits whichever paths share its batch: in a subset
+    # run, and across the path blocks of transform_chain.
     # (At this size a batch-wide stopping test changes these rows.)
     p = make_partition(32, "geometric", T=sine2_model.horizon, c=1.0)
     run = simulate_chain(sine2_model, p, 24, seed=1)
@@ -218,9 +220,12 @@ def test_chain_path_subset_bitwise(sine2_model):
                        innovations=run.innovations[idx], seed=run.seed,
                        flagged=run.flagged[idx])
     sub = transform_chain(sine2_model, p, sub_run)
+    monkeypatch.setattr(chain, "_PATHS_PER_SOLVE", 5)
+    blocked = transform_chain(sine2_model, p, run)
     for name in ("states", "m_coeffs", "sigma_coeffs", "identity_residuals",
                  "reconstruction_residuals"):
         assert np.array_equal(getattr(sub, name), getattr(full, name)[idx]), name
+        assert np.array_equal(getattr(blocked, name), getattr(full, name)), name
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])

@@ -152,28 +152,6 @@ def test_drift_from_function_flags_fd():
     assert not d2.jac_from_fd and d2.hess_from_fd
 
 
-@pytest.mark.parametrize("name,kw", [("sine", {}), ("sine", {"dim": 3, "beta": 1.3}),
-                                     ("scalar_logistic_bounded", {}),
-                                     ("linear", {}), ("zero_drift", {})])
-def test_derivatives_match_separate_calls(name, kw):
-    drift = builtin_model(name, **kw).drift
-    x = sample_box(np.full(drift.dim, -4.0), np.full(drift.dim, 4.0), 9, seed=3)
-    for pts in (x, x[0], x.reshape(3, 3, drift.dim)):
-        got = drift.derivatives(0.4, pts)
-        want = (drift.f(0.4, pts), drift.jac(0.4, pts), drift.hess(0.4, pts))
-        for g, w in zip(got, want):
-            assert g.shape == w.shape and np.array_equal(g, w)
-
-
-def test_fused_derivatives_yield_to_replaced_callables():
-    drift = builtin_model("sine").drift
-    x = np.array([[0.2], [1.1]])
-    drift.f = lambda t, y: np.full(np.shape(y), 7.0)
-    f, jac, _ = drift.derivatives(0.0, x)
-    assert np.all(f == 7.0)
-    assert np.array_equal(jac, builtin_model("sine").drift.jac(0.0, x))
-
-
 def test_sampling_plan_materialize_deterministic():
     plan = SamplingPlan(t_span=(0.0, 1.0), lo=np.zeros(2), hi=np.ones(2),
                         n_samples=32, seed=9)

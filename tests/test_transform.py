@@ -145,12 +145,15 @@ def test_pushforward_discrepancy_decreases(sine1_model):
 
 
 def test_pushforward_matches_explicit_map_back(sine1_model):
-    # pushforward_discrepancy reuses the g of the coefficient solves in
-    # place of map_back; both are the flow to its tolerance.
+    # pushforward_discrepancy reuses the g of the coefficient solves
+    # (g_steps) in place of map_back; both are the flow to its tolerance.
     tc = make_transform(sine1_model)
     tab = pushforward_discrepancy(sine1_model, tc, 24, 7, seed=4)
     orig = simulate_original(sine1_model, 24, 7, seed=4)
-    mapped = map_back(tc, simulate_transformed(tc, 24, 7, seed=4))
+    trans = simulate_transformed(tc, 24, 7, seed=4)
+    mapped = map_back(tc, trans)
+    assert orig.g_steps is None and mapped.g_steps is None
+    assert_allclose(trans.g_steps, mapped.paths[:, :-1], rtol=1e-7, atol=1e-12)
     diff = np.linalg.norm(orig.paths - mapped.paths, axis=2)
     assert_allclose(tab.mean, diff.mean(axis=0), rtol=1e-7, atol=1e-12)
     assert_allclose(tab.max, diff.max(axis=0), rtol=1e-7, atol=1e-12)
