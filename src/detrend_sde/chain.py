@@ -407,7 +407,7 @@ def _gauss_legendre_01(q: int):
 
 
 def transform_chain(model: ModelSpec, partition: Partition, run: ChainRun,
-                    quad_nodes: int = 8,
+                    quad_nodes: int = 16,
                     inversion_tol: float = DEFAULT_INVERSION_TOL) -> TransformedChainRun:
     """Detrend a simulated chain.
 

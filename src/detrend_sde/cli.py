@@ -105,14 +105,14 @@ class SimulationConfig:
 @dataclass
 class TransformConfig:
     flow_tol: float = 1e-10
-    quad_nodes: int = 8
+    quad_nodes: int = 16
     inversion_tol: float = 1e-12
 
     @classmethod
     def from_dict(cls, d: dict) -> "TransformConfig":
         _strict(d, {"flow_tol", "quad_nodes", "inversion_tol"}, "transform")
         return cls(flow_tol=float(d.get("flow_tol", 1e-10)),
-                   quad_nodes=int(d.get("quad_nodes", 8)),
+                   quad_nodes=int(d.get("quad_nodes", 16)),
                    inversion_tol=float(d.get("inversion_tol", 1e-12)))
 
 

@@ -116,21 +116,18 @@ def _as_batch(x: np.ndarray, d: int) -> tuple[np.ndarray, bool]:
 
 
 def advance_flow_many(drift: DriftSpec, t0: float, t1: float, xs: np.ndarray,
-                      tol: float = DEFAULT_TOL,
-                      fixed_steps: int | None = None) -> np.ndarray:
+                      tol: float = DEFAULT_TOL) -> np.ndarray:
     xs, _ = _as_batch(xs, drift.dim)
     if t1 == t0:
         return xs.copy()
-    return rk.integrate(_rhs_state(drift), t0, t1, xs, rtol=tol,
-                        fixed_steps=fixed_steps)
+    return rk.integrate(_rhs_state(drift), t0, t1, xs, rtol=tol)
 
 
 def advance_flow(drift: DriftSpec, t0: float, t1: float, x: np.ndarray,
-                 tol: float = DEFAULT_TOL,
-                 fixed_steps: int | None = None) -> np.ndarray:
+                 tol: float = DEFAULT_TOL) -> np.ndarray:
     """g(t1; t0, x).  t1 < t0 integrates backward along the same field."""
     return advance_flow_many(drift, t0, t1, np.asarray(x, dtype=float)[None, :],
-                             tol, fixed_steps)[0]
+                             tol)[0]
 
 
 def flow_jet_many(drift: DriftSpec, t0: float, t1: float, xs: np.ndarray,

@@ -3,7 +3,8 @@
 Work is embarrassingly parallel across paths; results are written into
 preallocated slices indexed by chunk, so the assembled output does not
 depend on completion order.  DETREND_SDE_THREADS caps the worker count
-(default 1, serial).
+(default 1, serial).  No library code uses the module any more; it
+stays only for the benchmark and goes with its next change.
 """
 
 from __future__ import annotations

@@ -3,8 +3,6 @@
 One explicit scheme serves every flow computation in the package.  The
 state may carry arbitrary leading batch axes; the error norm is a scaled
 RMS over all entries, so a batch is advanced on a common adaptive grid.
-A fixed-step mode (same tableau, no rejection) is available for
-step-for-step reproducibility studies.
 """
 
 from __future__ import annotations
@@ -73,8 +71,7 @@ def _initial_step(rhs, t0: float, y0: np.ndarray, f0: np.ndarray,
 
 
 def integrate(rhs, t0: float, t1: float, y0: np.ndarray, rtol: float = 1e-10,
-              atol: float = 1e-12, fixed_steps: int | None = None,
-              max_steps: int = 1_000_000) -> np.ndarray:
+              atol: float = 1e-12, max_steps: int = 1_000_000) -> np.ndarray:
     """Integrate dy/dt = rhs(t, y) from t0 to t1 (either direction).
 
     Returns y(t1) with the same shape as y0.  Raises
@@ -84,16 +81,6 @@ def integrate(rhs, t0: float, t1: float, y0: np.ndarray, rtol: float = 1e-10,
     y0 = np.asarray(y0, dtype=float)
     if t1 == t0:
         return y0.copy()
-    if fixed_steps is not None:
-        if fixed_steps < 1:
-            raise ValueError("fixed_steps must be >= 1")
-        h = (t1 - t0) / fixed_steps
-        y = y0.copy()
-        k1 = rhs(t0, y)
-        for i in range(fixed_steps):
-            y, k1, _ = _stages(rhs, t0 + i * h, y, h, k1)
-        return y
-
     direction = 1.0 if t1 > t0 else -1.0
     span = abs(t1 - t0)
     t = t0

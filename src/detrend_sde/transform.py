@@ -23,7 +23,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import parallel
 from .flow import DEFAULT_TOL, advance_flow_many, flow_jet_many
 from .models import ModelSpec
 from .noise import normal_block, rademacher_block
@@ -32,10 +31,10 @@ SCHEME_ORIGINAL = "original"
 SCHEME_TRANSFORMED = "transformed"
 SCHEME_MAPPED_BACK = "mapped_back"
 
-# Paths per coefficient-evaluation block; fixed so that threading and
-# batch size upstream of a block cannot change adaptive step choices.
-# Jet states are small (d + 2 d^2 + d^3 + 1 doubles per path), so large
-# blocks amortize the per-step numpy overhead.
+# Paths per coefficient-evaluation block.  A block shares one adaptive
+# step sequence, so fixed boundaries keep a path's bits independent of
+# the paths after its block.  Jet states are small (d + 2 d^2 + d^3 + 1
+# doubles per path), so large blocks amortize the per-step numpy overhead.
 _COEFF_BLOCK = 8192
 
 
@@ -199,19 +198,12 @@ def simulate_transformed(tc: TransformedCoefficients, n_steps: int, n_paths: int
 
     def coeff(t, y):
         g = next(columns)
-        if y.shape[0] <= _COEFF_BLOCK:
-            mu, sig, jets = tc.evaluate_batch(t, y, return_jets=True)
-            g[...] = jets["g"]
-            return mu, sig
-        # Fixed block boundaries keep the batched step control, and
-        # therefore the output bits, independent of the worker count.
         mu = np.empty_like(y)
         sig = np.empty(y.shape + (y.shape[1],))
-
-        def work(sl):
+        for a in range(0, y.shape[0], _COEFF_BLOCK):
+            sl = slice(a, a + _COEFF_BLOCK)
             mu[sl], sig[sl], jets = tc.evaluate_batch(t, y[sl], return_jets=True)
             g[sl] = jets["g"]
-        parallel.run_chunked(work, y.shape[0], block=_COEFF_BLOCK)
         return mu, sig
 
     paths, flagged, _ = _simulate_paths(times, model.x0, n_paths, seed,
@@ -223,17 +215,21 @@ def simulate_transformed(tc: TransformedCoefficients, n_steps: int, n_paths: int
 
 
 def map_back(tc: TransformedCoefficients, ensemble: PathEnsemble) -> PathEnsemble:
-    """Push a transformed ensemble through g(t_k; 0, .) columnwise."""
+    """Push a transformed ensemble through g(t_k; 0, .) columnwise.
+
+    Columns k < n_steps are the ensemble's g_steps; only the last time
+    needs a flow solve of its own.  Raises ValueError for an ensemble
+    without g_steps, i.e. one not made by simulate_transformed.
+    """
+    if ensemble.g_steps is None:
+        raise ValueError("map_back needs the g_steps of simulate_transformed")
     model = tc.source
-    mapped = np.empty_like(ensemble.paths)
-    mapped[:, 0, :] = ensemble.paths[:, 0, :]
     flagged = ensemble.flagged.copy()
-    for k in range(1, ensemble.times.size):
-        y = ensemble.paths[:, k, :]
-        safe = np.where(flagged[:, None], model.x0, y)
-        out = advance_flow_many(model.drift, 0.0, float(ensemble.times[k]),
-                                safe, tol=tc.flow_tol)
-        mapped[:, k, :] = np.where(flagged[:, None], np.nan, out)
+    last = np.where(flagged[:, None], model.x0, ensemble.paths[:, -1, :])
+    last = advance_flow_many(model.drift, 0.0, float(ensemble.times[-1]), last,
+                             tol=tc.flow_tol)
+    mapped = np.concatenate((ensemble.g_steps, last[:, None, :]), axis=1)
+    mapped[flagged, 1:, :] = np.nan
     return PathEnsemble(times=ensemble.times.copy(), paths=mapped,
                         seed=ensemble.seed, scheme=SCHEME_MAPPED_BACK,
                         flagged=flagged)
@@ -264,20 +260,13 @@ class DiscrepancyTable:
 def pushforward_discrepancy(model: ModelSpec, tc: TransformedCoefficients,
                             n_steps: int, n_paths: int, seed: int) -> DiscrepancyTable:
     """Simulate both schemes with shared noise, map the transformed one
-    back, and tabulate ||Y_k - g(t_k; 0, Yt_k)|| over time.
-
-    The map back reuses the transformed run's g_steps; only the last
-    time needs a flow solve of its own, on the batch map_back uses.
-    """
+    back, and tabulate ||Y_k - g(t_k; 0, Yt_k)|| over time."""
     orig = simulate_original(model, n_steps, n_paths, seed)
     trans = simulate_transformed(tc, n_steps, n_paths, seed)
     ok = ~(orig.flagged | trans.flagged)
     if not np.any(ok):
         raise ValueError("every path overflowed; nothing to compare")
-    last = np.where(trans.flagged[:, None], model.x0, trans.paths[:, -1, :])
-    last = advance_flow_many(model.drift, 0.0, float(trans.times[-1]), last,
-                             tol=tc.flow_tol)
-    mapped = np.concatenate((trans.g_steps, last[:, None, :]), axis=1)
+    mapped = map_back(tc, trans).paths
     diff = np.linalg.norm(orig.paths[ok] - mapped[ok], axis=2)
     return DiscrepancyTable(times=orig.times.copy(),
                             mean=diff.mean(axis=0), max=diff.max(axis=0),

@@ -132,6 +132,17 @@ def test_inversion_contraction_guard():
         invert_broken_line(drift, p, 1, np.array([0.2]))
 
 
+@pytest.mark.parametrize("seed", [3, 8])
+def test_default_quadrature_passes_identity_gate(seed):
+    # Sine d=2 on a geometric n=32 partition: 8 Gauss-Legendre nodes
+    # miss the 1e-9 one-step identity on these seeds (up to 1.1e-8);
+    # the default of 16 stays at rounding level.
+    model = builtin_model("sine", alpha=0.8, beta=1.3, dim=2)
+    p = make_partition(32, "geometric", T=model.horizon, c=1.0)
+    tr = transform_chain(model, p, simulate_chain(model, p, 128, seed))
+    assert tr.identity_residuals.max() <= 1e-9
+
+
 def test_linear_chain_coefficients_closed_form():
     # With linear trend the averaged inverse Jacobian is u-independent:
     # m_t(k) = prod_{j<=k}(1 + h_j b)^{-1} m, same for sigma, and the

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from detrend_sde import __version__, cli
-from detrend_sde.cli import (EXIT_ASSUMPTION, EXIT_CONFIG, EXIT_NUMERICAL,
-                             EXIT_OK, ExperimentConfig, load_config, main)
+from detrend_sde.cli import (EXIT_ASSUMPTION, EXIT_CONFIG, EXIT_INVERSION,
+                             EXIT_NUMERICAL, EXIT_OK, ExperimentConfig,
+                             load_config, main)
 
 FAST_SDE = ["--set", "simulation.n_paths=10", "--set", "simulation.n_steps=32"]
 FAST_CHAIN = ["--set", "simulation.n_paths=6", "--set", "partition.n=32"]
@@ -138,6 +139,27 @@ def test_linalg_error_exits_4(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "transform_chain", singular)
     code = main(["transform-chain", *FAST_CHAIN, "--out", str(tmp_path)])
     assert code == EXIT_NUMERICAL
+
+
+def test_contraction_violation_exits_5(tmp_path):
+    # Sine has m_f = 1; one step of h = 1 breaks h m_f < 1/2.
+    assert main(["transform-chain", "--set", "simulation.n_paths=2",
+                 "--set", "partition.n=1",
+                 "--out", str(tmp_path)]) == EXIT_INVERSION
+
+
+def test_default_quad_nodes_pass_chain_gates(tmp_path):
+    # The default quadrature must pass the one-step identity gate on a
+    # seed where 8 nodes missed it (sine d=2, geometric n=32).
+    code = main(["transform-chain",
+                 "--set", 'model.params={"alpha": 0.8, "beta": 1.3, "dim": 2}',
+                 "--set", "partition.kind=geometric", "--set", "partition.n=32",
+                 "--set", "simulation.n_paths=128", "--set", "simulation.seed=8",
+                 "--out", str(tmp_path)])
+    summary = json.loads((tmp_path / "chain_summary.json").read_text())
+    assert code == EXIT_OK
+    assert summary["quad_nodes"] == 16
+    assert summary["identity_residual_max"] <= 1e-9
 
 
 def test_unknown_key_exits_2(tmp_path, capsys):

@@ -5,8 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
-from detrend_sde import (FlowIntegrationError, ModelSpec, builtin_model,
-                         make_transform, map_back,
+from detrend_sde import (FlowIntegrationError, ModelSpec, advance_flow_many,
+                         builtin_model, make_transform, map_back,
                          pushforward_discrepancy, simulate_original,
                          simulate_transformed)
 from tests.conftest import (FROZEN, SINE1_T, SINE1_X, SWAP2_T, SWAP2_X,
@@ -153,11 +153,22 @@ def test_pushforward_matches_explicit_map_back(sine1_model):
     trans = simulate_transformed(tc, 24, 7, seed=4)
     mapped = map_back(tc, trans)
     assert orig.g_steps is None and mapped.g_steps is None
-    assert_allclose(trans.g_steps, mapped.paths[:, :-1], rtol=1e-7, atol=1e-12)
-    diff = np.linalg.norm(orig.paths - mapped.paths, axis=2)
+    # Reference: one flow solve per grid column.
+    explicit = np.stack([advance_flow_many(sine1_model.drift, 0.0, float(t),
+                                           trans.paths[:, k, :])
+                         for k, t in enumerate(trans.times)], axis=1)
+    assert_allclose(mapped.paths, explicit, rtol=1e-7, atol=1e-12)
+    assert np.array_equal(mapped.paths[:, -1], explicit[:, -1])
+    diff = np.linalg.norm(orig.paths - explicit, axis=2)
     assert_allclose(tab.mean, diff.mean(axis=0), rtol=1e-7, atol=1e-12)
     assert_allclose(tab.max, diff.max(axis=0), rtol=1e-7, atol=1e-12)
     assert tab.mean[-1] == diff.mean(axis=0)[-1]
+
+
+def test_map_back_needs_transformed_ensemble(sine1_model):
+    tc = make_transform(sine1_model)
+    with pytest.raises(ValueError, match="g_steps"):
+        map_back(tc, simulate_original(sine1_model, 8, 3, seed=0))
 
 
 def test_overflowing_paths_are_flagged():
@@ -179,24 +190,16 @@ def test_transformed_ensemble_metadata(sine1_model):
     assert ens.times[0] == 0.0 and ens.times[-1] == sine1_model.horizon
 
 
-def test_threaded_coefficients_match_serial(sine1_model, monkeypatch):
-    tc = make_transform(sine1_model)
-    serial = simulate_transformed(tc, 16, 12, seed=9)
-    monkeypatch.setenv("DETREND_SDE_THREADS", "4")
-    threaded = simulate_transformed(tc, 16, 12, seed=9)
-    assert np.array_equal(serial.paths, threaded.paths)
-
-
-def test_block_boundaries_independent_of_threads(sine1_model, monkeypatch):
-    # Shrink the block so a dozen paths span several blocks; the bits
-    # must still not depend on the worker count.
+def test_coefficient_blocks_fix_the_bits(sine1_model, monkeypatch):
+    # Shrink the block so ten paths span three blocks: the first block's
+    # rows must be those of a run that holds only that block.
     import detrend_sde.transform as transform_mod
     monkeypatch.setattr(transform_mod, "_COEFF_BLOCK", 4)
     tc = make_transform(sine1_model)
-    serial = simulate_transformed(tc, 8, 10, seed=3)
-    monkeypatch.setenv("DETREND_SDE_THREADS", "3")
-    threaded = simulate_transformed(tc, 8, 10, seed=3)
-    assert np.array_equal(serial.paths, threaded.paths)
+    big = simulate_transformed(tc, 8, 10, seed=3)
+    small = simulate_transformed(tc, 8, 4, seed=3)
+    assert np.array_equal(big.paths[:4], small.paths)
+    assert np.array_equal(big.g_steps[:4], small.g_steps)
 
 
 def test_evaluate_batch_jets_roundtrip(sine1_model):

@@ -1,7 +1,10 @@
-"""Noise blocks, quasi-random sampling, thread chunking, and the
-embedded Runge-Kutta integrator."""
+"""Noise blocks, quasi-random sampling, thread chunking, the
+embedded Runge-Kutta integrator, and the runtime's imports."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from scipy.linalg import expm
 
 from detrend_sde import FlowIntegrationError, normal_block, rademacher_block
 from detrend_sde import parallel, rk
-from detrend_sde.sampling import sample_box, sample_time_box
+from detrend_sde.sampling import _primes, sample_box, sample_time_box
 
 RK_TOL = 1e-10
 
@@ -62,6 +65,32 @@ def test_sample_box_bounds_and_determinism():
     assert np.all(xs >= lo) and np.all(xs <= hi)
     assert np.array_equal(xs, sample_box(lo, hi, 200, seed=4))
     assert not np.array_equal(xs, sample_box(lo, hi, 200, seed=5))
+
+
+def test_sample_box_is_stratified_per_base():
+    # Coordinate i uses the i-th prime b; a bijective scramble of every
+    # digit keeps the Halton property that the first b^k points fall one
+    # per b-adic interval of length b^-k.
+    assert _primes(6) == [2, 3, 5, 7, 11, 13]
+    for seed in (0, 1, 7):
+        u = sample_box(np.zeros(4), np.ones(4), 1024, seed)
+        assert np.all((u >= 0.0) & (u < 1.0))
+        for col, b in enumerate(_primes(4)):
+            k = 1
+            while b ** k <= u.shape[0]:
+                cells = np.floor(u[:b ** k, col] * b ** k).astype(int)
+                assert np.array_equal(np.sort(cells), np.arange(b ** k)), (b, k)
+                k += 1
+
+
+def test_import_does_not_load_scipy():
+    # The runtime needs only numpy; scipy is a test dependency.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, detrend_sde; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_sample_time_box_include_ends():
@@ -119,13 +148,6 @@ def test_rk_zero_span_is_identity():
     y0 = np.array([[1.0, 2.0]])
     got = rk.integrate(lambda t, y: y, 0.5, 0.5, y0)
     assert np.array_equal(got, y0)
-
-
-def test_rk_fixed_steps():
-    def rhs(t, y):
-        return y
-    got = rk.integrate(rhs, 0.0, 1.0, np.array([[1.0]]), fixed_steps=200)
-    assert_allclose(got, [[np.e]], rtol=1e-11)
 
 
 def test_rk_nonfinite_raises():
