@@ -19,8 +19,11 @@ is symmetric in (j, k) and vanishes identically for linear fields; the
 second derivative of the inverse map is -M c.  exp(s) reproduces det Z
 (Liouville), giving an independent route to the determinant.
 
-All entry points accept a single point or a batch; a batch is advanced
-on one shared adaptive grid, error-controlled across all members.
+All entry points accept a single point or a batch.  The *_many entry
+points also take one end time per row: a batch is integrated in one
+call, error-controlled across its live rows, and each row retires at
+its own end time; a row ending at its start time gets exact identity
+jets.
 """
 
 from __future__ import annotations
@@ -49,26 +52,6 @@ class FlowJet:
     t0: float
     t: float
     x: np.ndarray
-
-
-def _identity_jets(xs: np.ndarray, order: int) -> dict:
-    b, d = xs.shape
-    out = {
-        "g": xs.copy(),
-        "g_star": np.broadcast_to(np.eye(d), (b, d, d)).copy(),
-        "g_star_inv": np.broadcast_to(np.eye(d), (b, d, d)).copy(),
-        "det_g_star": np.ones(b),
-        "trace_integral": np.zeros(b),
-    }
-    if order >= 2:
-        out["c"] = np.zeros((b, d, d, d))
-    return out
-
-
-def _rhs_state(drift: DriftSpec):
-    def rhs(t, u):
-        return drift.f(t, u)
-    return rhs
 
 
 def _rhs_jet(drift: DriftSpec, d: int, order: int):
@@ -106,21 +89,18 @@ def _rhs_jet(drift: DriftSpec, d: int, order: int):
     return rhs
 
 
-def _as_batch(x: np.ndarray, d: int) -> tuple[np.ndarray, bool]:
+def _as_batch(x: np.ndarray, d: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return x[None, :], True
+    x = x[None, :] if x.ndim == 1 else x
     if x.ndim == 2 and x.shape[1] == d:
-        return x, False
+        return x
     raise ValueError(f"state must have shape ({d},) or (batch, {d})")
 
 
-def advance_flow_many(drift: DriftSpec, t0: float, t1: float, xs: np.ndarray,
+def advance_flow_many(drift: DriftSpec, t0: float, t1, xs: np.ndarray,
                       tol: float = DEFAULT_TOL) -> np.ndarray:
-    xs, _ = _as_batch(xs, drift.dim)
-    if t1 == t0:
-        return xs.copy()
-    return rk.integrate(_rhs_state(drift), t0, t1, xs, rtol=tol)
+    """g(t1; t0, x) per row; t1 is a scalar or one end time per row."""
+    return rk.integrate(drift.f, t0, t1, _as_batch(xs, drift.dim), rtol=tol)
 
 
 def advance_flow(drift: DriftSpec, t0: float, t1: float, x: np.ndarray,
@@ -130,26 +110,23 @@ def advance_flow(drift: DriftSpec, t0: float, t1: float, x: np.ndarray,
                              tol)[0]
 
 
-def flow_jet_many(drift: DriftSpec, t0: float, t1: float, xs: np.ndarray,
+def flow_jet_many(drift: DriftSpec, t0: float, t1, xs: np.ndarray,
                   tol: float = DEFAULT_TOL, order: int = 2) -> dict:
-    """Jets for a batch of base points; order 1 omits W and c.
+    """Jets for a batch of base points; order 1 omits W and c.  t1 is a
+    scalar or one end time per row.
 
     Returns arrays keyed g, g_star, g_star_inv, det_g_star,
     trace_integral and (order 2) c.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    xs, _ = _as_batch(xs, drift.dim)
+    xs = _as_batch(xs, drift.dim)
     b, d = xs.shape
-    if t1 == t0:
-        return _identity_jets(xs, order)
     dd, ddd = d * d, d * d * d
     nvar = d + 2 * dd + 1 + (ddd if order == 2 else 0)
     u0 = np.zeros((b, nvar))
     u0[:, :d] = xs
-    eye = np.eye(d).ravel()
-    u0[:, d:d + dd] = eye
-    u0[:, d + dd:d + 2 * dd] = eye
+    u0[:, d:d + 2 * dd] = np.tile(np.eye(d).ravel(), 2)
     u = rk.integrate(_rhs_jet(drift, d, order), t0, t1, u0, rtol=tol)
     out = {
         "g": u[:, :d].copy(),
@@ -158,9 +135,11 @@ def flow_jet_many(drift: DriftSpec, t0: float, t1: float, xs: np.ndarray,
         "trace_integral": u[:, -1].copy(),
     }
     out["det_g_star"] = np.linalg.det(out["g_star"])
-    if np.any(np.abs(out["det_g_star"]) < _DET_FLOOR):
+    singular = np.abs(out["det_g_star"]) < _DET_FLOOR
+    if np.any(singular):
+        t_bad = float(np.broadcast_to(t1, (b,))[singular][0])
         raise SingularJacobianError(
-            f"flow Jacobian numerically singular on [{t0}, {t1}]")
+            f"flow Jacobian numerically singular on [{t0}, {t_bad}]")
     if order == 2:
         W = u[:, d + 2 * dd:d + 2 * dd + ddd].reshape(b, d, d, d)
         M = out["g_star_inv"]

@@ -51,6 +51,7 @@ def sample_time_box(t_span, lo, hi, n: int, seed: int, include_ends: bool = Fals
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
     pts = sample_box(np.concatenate(([t0], lo)), np.concatenate(([t1], hi)), n, seed)
     ts, xs = pts[:, 0], pts[:, 1:]
     if include_ends:

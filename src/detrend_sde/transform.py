@@ -47,16 +47,18 @@ class TransformedCoefficients:
     source: ModelSpec
     flow_tol: float
 
-    def evaluate_batch(self, t: float, ys: np.ndarray, return_jets: bool = False):
-        """Coefficients for a batch of states, one shared flow solve."""
+    def evaluate_batch(self, t, ys: np.ndarray, return_jets: bool = False):
+        """Coefficients for a batch of states at time t, a scalar or one
+        time per row: one flow solve in which each row retires at its
+        own t, and one call of the model's coefficients per distinct t."""
         ys = np.asarray(ys, dtype=float)
         jets = flow_jet_many(self.source.drift, 0.0, t, ys,
                              tol=self.flow_tol, order=2)
         g = jets["g"]
         M = jets["g_star_inv"]
         c = jets["c"]
-        mv = self.source.bounded_drift(t, g)
-        sv = self.source.sigma(t, g)
+        mv = _per_time(self.source.bounded_drift, t, g)
+        sv = _per_time(self.source.sigma, t, g)
         a = np.einsum("bip,bjp->bij", sv, sv)
         corr = np.einsum("blij,bij->bl", c, a)
         m_t = np.einsum("bij,bj->bi", M, mv - 0.5 * corr)
@@ -64,6 +66,18 @@ class TransformedCoefficients:
         if return_jets:
             return m_t, s_t, jets
         return m_t, s_t
+
+
+def _per_time(fn, t, ys: np.ndarray) -> np.ndarray:
+    """fn(t_k, rows) once per distinct time t_k of t, a scalar or one
+    time per row of ys, reassembled in row order."""
+    ts = np.full(ys.shape[:1], t, dtype=float)
+    order = np.argsort(ts, kind="stable")
+    cuts = np.flatnonzero(np.diff(ts[order])) + 1
+    parts = [np.asarray(fn(float(ts[i[0]]), ys[i])) for i in np.split(order, cuts)]
+    out = np.empty(ys.shape[:1] + parts[0].shape[1:])
+    out[order] = np.concatenate(parts)
+    return out
 
 
 def make_transform(model: ModelSpec, flow_tol: float = DEFAULT_TOL) -> TransformedCoefficients:
@@ -263,12 +277,16 @@ def pushforward_discrepancy(model: ModelSpec, tc: TransformedCoefficients,
     back, and tabulate ||Y_k - g(t_k; 0, Yt_k)|| over time."""
     orig = simulate_original(model, n_steps, n_paths, seed)
     trans = simulate_transformed(tc, n_steps, n_paths, seed)
-    ok = ~(orig.flagged | trans.flagged)
+    return _discrepancy_table(orig, map_back(tc, trans))
+
+
+def _discrepancy_table(orig: PathEnsemble, mapped: PathEnsemble) -> DiscrepancyTable:
+    """pushforward_discrepancy's table from orig and map_back(tc, trans)."""
+    ok = ~(orig.flagged | mapped.flagged)
     if not np.any(ok):
         raise ValueError("every path overflowed; nothing to compare")
-    mapped = map_back(tc, trans).paths
-    diff = np.linalg.norm(orig.paths[ok] - mapped[ok], axis=2)
+    diff = np.linalg.norm(orig.paths[ok] - mapped.paths[ok], axis=2)
     return DiscrepancyTable(times=orig.times.copy(),
                             mean=diff.mean(axis=0), max=diff.max(axis=0),
-                            n_steps=n_steps, n_paths=n_paths, seed=seed,
-                            n_flagged=int((~ok).sum()))
+                            n_steps=orig.times.size - 1, n_paths=orig.n_paths,
+                            seed=orig.seed, n_flagged=int((~ok).sum()))

@@ -94,6 +94,26 @@ def test_transform_sde_bitwise_determinism(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_transform_sde_simulates_each_refinement_once(tmp_path, monkeypatch):
+    from detrend_sde import transform
+    calls = []
+
+    def counting(simulate):
+        def run(tc, n_steps, n_paths, seed):
+            calls.append(n_steps)
+            return simulate(tc, n_steps, n_paths, seed)
+        return run
+    monkeypatch.setattr(cli, "simulate_transformed",
+                        counting(cli.simulate_transformed))
+    monkeypatch.setattr(transform, "simulate_transformed",
+                        counting(transform.simulate_transformed))
+    code = main(["transform-sde", "--set", "simulation.n_paths=6",
+                 "--set", "simulation.n_steps=[2,4,8]",
+                 "--out", str(tmp_path / "run")])
+    assert code == EXIT_OK
+    assert sorted(calls) == [2, 4, 8]
+
+
 def test_transform_chain_artifacts(tmp_path):
     out = tmp_path / "chain"
     code = main(["transform-chain", *FAST_CHAIN, "--out", str(out)])

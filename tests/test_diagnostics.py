@@ -11,6 +11,7 @@ from detrend_sde import (ConvergenceTable, DriftSpec, ModelSpec,
                          make_transform, pushforward_discrepancy,
                          simulate_chain, strong_order_estimate,
                          transform_chain, weak_error_compare)
+from detrend_sde.sampling import sample_time_box
 
 SCAN_SLACK = 1e-9
 
@@ -49,6 +50,27 @@ def test_scan_fails_when_bound_understated():
     scan = boundedness_scan(make_transform(model), n_samples=16, seed=0)
     assert not scan.passed
     assert not scan.checks["g_star_growth"].passed
+
+
+def test_scan_matches_a_per_point_loop():
+    # The scan makes one batched flow solve; a loop of single-point
+    # solves is the reference, equal to the flow tolerance.
+    model = builtin_model("sine", alpha=0.8, beta=1.3, dim=2)
+    tc = make_transform(model)
+    scan = boundedness_scan(tc, n_samples=24, seed=4)
+    ts, xs = sample_time_box((0.0, model.horizon), model.x0 - 2.0,
+                             model.x0 + 2.0, 24, 4, include_ends=True)
+    ref = {k: [] for k in scan.sups}
+    for t, x in zip(ts, xs):
+        m, s, jets = tc.evaluate_batch(float(t), x[None, :], return_jets=True)
+        ref["m_tilde_norm"].append(np.linalg.norm(m[0]))
+        ref["sigma_tilde_norm"].append(np.linalg.norm(s[0], 2))
+        ref["g_star_norm"].append(np.linalg.norm(jets["g_star"][0], 2))
+        ref["g_star_inv_norm"].append(np.linalg.norm(jets["g_star_inv"][0], 2))
+        ref["c_max"].append(np.abs(jets["c"][0]).max())
+        ref["det_max"].append(jets["det_g_star"][0])
+    for key, values in ref.items():
+        assert scan.sups[key].value == pytest.approx(max(values), rel=1e-9), key
 
 
 def test_scan_of_transformed_chain():

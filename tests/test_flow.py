@@ -200,3 +200,65 @@ def test_inverse_flow_many_batches(sine2_model):
     for i, y in enumerate(ys):
         assert_allclose(batch[i], inverse_flow(drift, 0.75, y),
                         rtol=1e-9, atol=1e-12)
+
+
+FLOW_TOL = 1e-10
+# Unsorted, with a duplicate and two rows ending at the start time.
+PER_ROW_T = np.array([0.9, 0.0, 0.35, 0.9, 0.6, 0.0])
+
+
+def test_advance_flow_many_per_row_end_times(sine2_model):
+    drift = sine2_model.drift
+    xs = sample_box(np.full(2, -1.5), np.full(2, 1.5), PER_ROW_T.size, seed=5)
+    got = advance_flow_many(drift, 0.0, PER_ROW_T, xs, FLOW_TOL)
+    for i, t in enumerate(PER_ROW_T):
+        assert_allclose(got[i], advance_flow(drift, 0.0, t, xs[i], FLOW_TOL),
+                        rtol=10 * FLOW_TOL, atol=10 * FLOW_TOL)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_flow_jet_many_per_row_end_times(sine2_model, order):
+    drift = sine2_model.drift
+    xs = sample_box(np.full(2, -1.5), np.full(2, 1.5), PER_ROW_T.size, seed=6)
+    got = flow_jet_many(drift, 0.0, PER_ROW_T, xs, FLOW_TOL, order=order)
+    for i, t in enumerate(PER_ROW_T):
+        one = flow_jet_many(drift, 0.0, t, xs[i], FLOW_TOL, order=order)
+        for key, value in one.items():
+            assert_allclose(got[key][i], value[0], rtol=10 * FLOW_TOL,
+                            atol=10 * FLOW_TOL, err_msg=key)
+
+
+def test_equal_end_times_are_the_scalar_bits(sine2_model):
+    drift = sine2_model.drift
+    xs = sample_box(np.full(2, -1.5), np.full(2, 1.5), 5, seed=7)
+    scalar = flow_jet_many(drift, 0.0, 0.8, xs)
+    per_row = flow_jet_many(drift, 0.0, np.full(5, 0.8), xs)
+    for key in scalar:
+        assert np.array_equal(per_row[key], scalar[key]), key
+
+
+@pytest.mark.parametrize("t", [0.0, 0.6])
+def test_zero_span_jets_are_exact_identity(sine2_model, t):
+    xs = sample_box(np.full(2, -1.5), np.full(2, 1.5), 4, seed=8)
+    jets = flow_jet_many(sine2_model.drift, t, t, xs)
+    eye = np.broadcast_to(np.eye(2), (4, 2, 2))
+    assert np.array_equal(jets["g"], xs)
+    assert np.array_equal(jets["g_star"], eye)
+    assert np.array_equal(jets["g_star_inv"], eye)
+    assert np.array_equal(jets["det_g_star"], np.ones(4))
+    assert np.array_equal(jets["trace_integral"], np.zeros(4))
+    assert np.all(jets["c"] == 0.0)
+
+
+def test_per_row_end_times_on_both_sides_rejected(sine2_model):
+    xs = np.zeros((2, 2))
+    with pytest.raises(ValueError):
+        flow_jet_many(sine2_model.drift, 0.5, np.array([0.2, 0.8]), xs)
+    with pytest.raises(ValueError):
+        advance_flow_many(sine2_model.drift, 0.0, np.array([0.2, np.nan]), xs)
+
+
+def test_state_of_the_wrong_length_rejected(sine2_model):
+    for advance in (advance_flow, advance_flow_many):
+        with pytest.raises(ValueError):
+            advance(sine2_model.drift, 0.0, 0.5, np.zeros(3))

@@ -1,5 +1,7 @@
 """Detrended SDE coefficients and path simulation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -209,3 +211,24 @@ def test_evaluate_batch_jets_roundtrip(sine1_model):
     assert_allclose(jets["g_star"] @ jets["g_star_inv"],
                     np.broadcast_to(np.eye(1), (2, 1, 1)), atol=1e-10)
     assert m_t.shape == (2, 1) and s_t.shape == (2, 1, 1)
+
+
+def test_evaluate_batch_per_row_times_match_scalar_calls(sine2_model):
+    seen = []
+
+    def bounded(t, y):
+        seen.append((t, len(y)))
+        return sine2_model.bounded_drift(t, y)
+    tc = make_transform(dataclasses.replace(sine2_model, bounded_drift=bounded))
+    ts = np.array([0.8, 0.0, 0.3, 0.8, 0.55])
+    ys = np.array([[0.1, -0.4], [0.9, 0.2], [-1.1, 0.5], [0.3, 0.3],
+                   [0.6, -0.8]])
+    m_t, s_t, jets = tc.evaluate_batch(ts, ys, return_jets=True)
+    # One call per distinct time, each with a scalar time.
+    assert sorted(seen) == [(0.0, 1), (0.3, 1), (0.55, 1), (0.8, 2)]
+    assert all(type(t) is float for t, _ in seen)
+    for i, t in enumerate(ts):
+        m_i, s_i, jets_i = tc.evaluate_batch(t, ys[i:i + 1], return_jets=True)
+        assert_allclose(m_t[i], m_i[0], rtol=1e-9, atol=1e-9)
+        assert_allclose(s_t[i], s_i[0], rtol=1e-9, atol=1e-9)
+        assert_allclose(jets["g"][i], jets_i["g"][0], rtol=1e-9, atol=1e-9)

@@ -101,6 +101,13 @@ def test_sample_time_box_include_ends():
     assert ts.min() >= 0.25 and ts.max() <= 2.0
 
 
+def test_sample_time_box_accepts_scalar_bounds():
+    ts, xs = sample_time_box((0, 1), 0.0, 1.0, 4, 0)
+    ts_a, xs_a = sample_time_box((0, 1), [0.0], [1.0], 4, 0)
+    assert xs.shape == (4, 1)
+    assert np.array_equal(ts, ts_a) and np.array_equal(xs, xs_a)
+
+
 def test_path_chunks_cover_everything():
     for n, w in [(10, 3), (1, 4), (7, 7), (100, 1)]:
         chunks = parallel.path_chunks(n, w)
@@ -148,6 +155,45 @@ def test_rk_zero_span_is_identity():
     y0 = np.array([[1.0, 2.0]])
     got = rk.integrate(lambda t, y: y, 0.5, 0.5, y0)
     assert np.array_equal(got, y0)
+
+
+def _logistic(t, y):
+    return np.sin(t) * y * (1.0 - 0.3 * y)
+
+
+def test_rk_per_row_end_times_match_single_solves():
+    # Unsorted, duplicate and == t0 end times, forward and backward.
+    y0 = np.array([[0.4, -1.2], [1.5, 0.2], [-0.7, 0.9], [0.1, 2.0],
+                   [0.8, -0.3]])
+    for t0, ends in ((0.2, [1.3, 0.2, 0.7, 1.3, 0.45]),
+                     (1.0, [0.1, 1.0, 0.6, 0.1, -0.4])):
+        got = rk.integrate(_logistic, t0, np.array(ends), y0, rtol=RK_TOL)
+        for i, t1 in enumerate(ends):
+            want = rk.integrate(_logistic, t0, t1, y0[i:i + 1], rtol=RK_TOL)[0]
+            assert_allclose(got[i], want, rtol=10 * RK_TOL, atol=10 * RK_TOL)
+        assert np.array_equal(got[ends.index(t0)], y0[ends.index(t0)])
+
+
+def test_rk_equal_end_times_are_the_scalar_bits():
+    y0 = np.array([[0.4, -1.2], [1.5, 0.2], [-0.7, 0.9]])
+    scalar = rk.integrate(_logistic, 0.0, 0.9, y0)
+    assert np.array_equal(rk.integrate(_logistic, 0.0, np.full(3, 0.9), y0),
+                          scalar)
+
+
+@pytest.mark.parametrize("ends", [[0.5, -0.5], [0.5, np.nan], [np.inf, 1.0]])
+def test_rk_rejects_bad_end_times(ends):
+    with pytest.raises(ValueError):
+        rk.integrate(_logistic, 0.0, np.array(ends), np.ones((2, 1)))
+
+
+def test_rk_failure_after_a_row_retired_reports_progress():
+    def rhs(t, y):
+        return y * y
+    # Both rows blow up at t = 1; the first retires before that.
+    with pytest.raises(FlowIntegrationError) as exc:
+        rk.integrate(rhs, 0.0, np.array([0.5, 2.0]), np.ones((2, 1)))
+    assert 0.9 <= exc.value.t_reached <= 1.05
 
 
 def test_rk_nonfinite_raises():
