@@ -32,7 +32,8 @@ from .errors import (AssumptionError, ConfigError, DetrendError,
                      SingularJacobianError)
 from .flow import (advance_flow, advance_flow_many, flow_jet_many,
                    flow_time_derivatives, inverse_flow)
-from .models import builtin_model, check_assumptions, list_builtin_models
+from .models import (_spectral_norms, builtin_model, check_assumptions,
+                     list_builtin_models)
 from .sampling import sample_box, sample_time_box
 from .transform import (_discrepancy_table, make_transform, map_back,
                         pushforward_discrepancy, simulate_original,
@@ -53,6 +54,8 @@ ALL_CHECKS = [
 
 
 def _strict(d: dict, allowed: set[str], where: str) -> None:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
@@ -141,6 +144,8 @@ class ExperimentConfig:
         _strict(d, {"model", "partition", "simulation", "transform",
                     "output", "suite"}, "config")
         suite = d.get("suite", list(ALL_CHECKS))
+        if not isinstance(suite, list):
+            raise ConfigError("suite must be a list")
         unknown = set(suite) - set(ALL_CHECKS)
         if unknown:
             raise ConfigError(f"unknown suite checks: {sorted(unknown)}")
@@ -213,18 +218,12 @@ def _meta_line(cfg: ExperimentConfig) -> str:
     return f"# detrend-sde {__version__} config_sha256={cfg.hash()}"
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
-
-
 def _write_csv(path: Path, cfg: ExperimentConfig, header: list[str], rows) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(_meta_line(cfg) + "\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def _write_json(path: Path, cfg: ExperimentConfig, payload: dict) -> None:
@@ -236,16 +235,13 @@ def _write_json(path: Path, cfg: ExperimentConfig, payload: dict) -> None:
         fh.write("\n")
 
 
-def _ensemble_rows(ens):
-    for p in range(ens.n_paths):
-        for k in range(ens.times.size):
-            yield [p, k, ens.times[k], *ens.paths[p, k, :], ens.scheme]
-
-
-def _chain_rows(times, states, scheme):
-    for p in range(states.shape[0]):
-        for k in range(states.shape[1]):
-            yield [p, k, times[k], *states[p, k, :], scheme]
+def _path_rows(times, paths, scheme):
+    """[path_id, step, t, y_1..y_d, scheme] rows as Python numbers, whose
+    str is the shortest round-trip repr; one path is converted at a time."""
+    times = times.tolist()
+    for p, path in enumerate(paths):
+        for k, (t, y) in enumerate(zip(times, path.tolist())):
+            yield [p, k, t, *y, scheme]
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +276,7 @@ def cmd_transform_sde(cfg: ExperimentConfig) -> int:
 
     def rows():
         for ens in (orig, trans, mapped):
-            yield from _ensemble_rows(ens)
+            yield from _path_rows(ens.times, ens.paths, ens.scheme)
     _write_csv(out / "paths.csv", cfg, header, rows())
 
     # The first refinement reuses the ensembles of paths.csv.
@@ -334,15 +330,15 @@ def cmd_transform_chain(cfg: ExperimentConfig) -> int:
     d = model.dim
     header = ["path_id", "step", "t"] + [f"y_{i+1}" for i in range(d)] + ["scheme"]
     _write_csv(out / "chain_original.csv", cfg, header,
-               _chain_rows(part.times, run.states, "original"))
+               _path_rows(part.times, run.states, "original"))
     _write_csv(out / "chain_transformed.csv", cfg, header,
-               _chain_rows(part.times, tr.states, "transformed"))
+               _path_rows(part.times, tr.states, "transformed"))
 
     ok = ~tr.flagged
     if not ok.any():
         raise FlowIntegrationError("all chain paths diverged", part.times[-1])
     m_sup = np.linalg.norm(tr.m_coeffs[ok], axis=2).max(axis=0)
-    s_sup = np.linalg.svd(tr.sigma_coeffs[ok], compute_uv=False)[..., 0].max(axis=0)
+    s_sup = _spectral_norms(tr.sigma_coeffs[ok]).max(axis=0)
     id_max = np.nanmax(tr.identity_residuals[ok], axis=0)
     rec_max = np.nanmax(tr.reconstruction_residuals[ok], axis=0)
     coeff_header = ["step", "t", "m_tilde_sup", "sigma_tilde_sup",

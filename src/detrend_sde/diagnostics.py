@@ -6,10 +6,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import ModelSpec
+from .models import ModelSpec, _per_time, _spectral_norms
 from .sampling import sample_time_box
-from .transform import (DiscrepancyTable, TransformedCoefficients, _per_time,
-                        map_back, simulate_original, simulate_transformed)
+from .transform import (DiscrepancyTable, TransformedCoefficients, map_back,
+                        simulate_original, simulate_transformed)
 
 # Seed offset used to decouple the two ensembles when noise is not shared.
 _SEED_DECOUPLE = 0x9E3779B9
@@ -74,10 +74,6 @@ def _sup(values, ts, xs) -> SupEntry:
                     at_x=np.asarray(xs[i], dtype=float).tolist())
 
 
-def _spectral(m: np.ndarray) -> np.ndarray:
-    return np.linalg.svd(m, compute_uv=False)[..., 0]
-
-
 def boundedness_scan(target, box=None, n_samples: int = 256,
                      seed: int = 0) -> ScanReport:
     """Scan transformed coefficients for boundedness.
@@ -106,9 +102,9 @@ def boundedness_scan(target, box=None, n_samples: int = 256,
 
     mt, st, jets = target.evaluate_batch(ts, xs, return_jets=True)
     m_norm = np.linalg.norm(mt, axis=1)
-    s_norm = _spectral(st)
-    gs_norm = _spectral(jets["g_star"])
-    gsi_norm = _spectral(jets["g_star_inv"])
+    s_norm = _spectral_norms(st)
+    gs_norm = _spectral_norms(jets["g_star"])
+    gsi_norm = _spectral_norms(jets["g_star_inv"])
     c_max = np.abs(jets["c"]).max(axis=(1, 2, 3))
     dets = jets["det_g_star"]
     w = np.linalg.eigvalsh(st @ st.transpose(0, 2, 1))
@@ -166,7 +162,7 @@ def _scan_chain(run) -> ScanReport:
     m = run.m_coeffs[ok]
     s = run.sigma_coeffs[ok]
     m_norm = np.linalg.norm(m, axis=2)
-    s_norm = _spectral(s)
+    s_norm = _spectral_norms(s)
     times = run.partition.times
 
     def entry(values):

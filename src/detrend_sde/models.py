@@ -129,6 +129,18 @@ def _spectral_norms(mats: np.ndarray) -> np.ndarray:
     return np.linalg.svd(mats, compute_uv=False)[..., 0]
 
 
+def _per_time(fn, t, ys: np.ndarray) -> np.ndarray:
+    """fn(t_k, rows) once per distinct time t_k of t, a scalar or one
+    time per row of ys, reassembled in row order."""
+    ts = np.full(ys.shape[:1], t, dtype=float)
+    order = np.argsort(ts, kind="stable")
+    cuts = np.flatnonzero(np.diff(ts[order])) + 1
+    parts = [np.asarray(fn(float(ts[i[0]]), ys[i])) for i in np.split(order, cuts)]
+    out = np.empty(ys.shape[:1] + parts[0].shape[1:])
+    out[order] = np.concatenate(parts)
+    return out
+
+
 def fd_jacobian(f, t: float, x: np.ndarray) -> np.ndarray:
     """Centered-difference Jacobian of f at (t, x), step sqrt(eps)*max(1,|x_k|)."""
     x = np.asarray(x, dtype=float)
@@ -188,56 +200,51 @@ def check_assumptions(model: ModelSpec, plan: SamplingPlan | None = None,
     assumptions: uniform ellipticity against the declared constant,
     derivative bounds against m_f, boundedness of the perturbation.
 
-    Any non-finite evaluation fails the corresponding entry and records
-    the offending (t, x).
+    Every callable is evaluated once per distinct sample time on all
+    samples at that time.  Any non-finite evaluation fails the
+    corresponding entry and records the first offending (t, x) in
+    sample order.
     """
     if plan is None:
         plan = SamplingPlan(t_span=(0.0, model.horizon),
                             lo=model.x0 - 2.0, hi=model.x0 + 2.0)
     ts, xs = plan.materialize()
-    d = model.dim
+    n, d = ts.size, model.dim
     entries: dict[str, AssumptionEntry] = {}
 
-    eig_min, eig_max = np.inf, -np.inf
-    jac_sup = hess_sup = asym_max = m_sup = 0.0
-    bad: dict[str, tuple[float, np.ndarray]] = {}
+    sig = _per_time(model.sigma, ts, xs).reshape(n, d, d)
+    a = sig @ sig.transpose(0, 2, 1)
+    jac = _per_time(model.drift.jac, ts, xs).reshape(n, d, d)
+    hess = _per_time(model.drift.hess, ts, xs).reshape(n, d, d, d)
+    mv = _per_time(model.bounded_drift, ts, xs).reshape(n, d)
 
-    for t, x in zip(ts, xs):
-        xb = x[None, :]
-        sig = np.asarray(model.sigma(t, xb), dtype=float).reshape(d, d)
-        a = sig @ sig.T
-        jac = np.asarray(model.drift.jac(t, xb), dtype=float).reshape(d, d)
-        hess = np.asarray(model.drift.hess(t, xb), dtype=float).reshape(d, d, d)
-        mv = np.asarray(model.bounded_drift(t, xb), dtype=float).reshape(d)
-        for key, arr in (("a1", a), ("a2", jac), ("a2", hess), ("a3", mv)):
-            if key not in bad and not np.all(np.isfinite(arr)):
-                bad[key] = (float(t), x.copy())
-        if "a1" not in bad:
-            w = np.linalg.eigvalsh(a)
-            eig_min = min(eig_min, float(w[0]))
-            eig_max = max(eig_max, float(w[-1]))
-        if "a2" not in bad:
-            jac_sup = max(jac_sup, float(_spectral_norms(jac)))
-            hess_sup = max(hess_sup, float(_spectral_norms(hess).max()))
-            asym_max = max(asym_max, float(np.abs(hess - hess.swapaxes(1, 2)).max()))
-        if "a3" not in bad:
-            m_sup = max(m_sup, float(np.linalg.norm(mv)))
+    def first_bad(*arrs):
+        ok = np.all([np.isfinite(v.reshape(n, -1)).all(axis=1) for v in arrs], axis=0)
+        if ok.all():
+            return None
+        i = int(np.argmin(ok))
+        return f"t={float(ts[i])}, x={xs[i].tolist()}"
 
     lam = model.lambda_
-    if "a1" in bad:
-        t_bad, x_bad = bad["a1"]
-        entries["a1"] = AssumptionEntry(False, {}, f"non-finite diffusion at t={t_bad}, x={x_bad.tolist()}")
+    bad = first_bad(a)
+    if bad:
+        entries["a1"] = AssumptionEntry(False, {}, f"non-finite diffusion at {bad}")
     else:
+        w = np.linalg.eigvalsh(a)
+        eig_min, eig_max = float(w[:, 0].min()), float(w[:, -1].max())
         ok = (eig_max <= lam + tol) and (eig_min >= 1.0 / lam - tol)
         entries["a1"] = AssumptionEntry(ok, {
             "declared_lambda": lam,
             "eig_min": eig_min, "eig_max": eig_max,
         }, "" if ok else "sampled diffusion eigenvalues escape the declared band")
 
-    if "a2" in bad:
-        t_bad, x_bad = bad["a2"]
-        entries["a2"] = AssumptionEntry(False, {}, f"non-finite derivative at t={t_bad}, x={x_bad.tolist()}")
+    bad = first_bad(jac, hess)
+    if bad:
+        entries["a2"] = AssumptionEntry(False, {}, f"non-finite derivative at {bad}")
     else:
+        jac_sup = float(_spectral_norms(jac).max())
+        hess_sup = float(_spectral_norms(hess).max())
+        asym_max = float(np.abs(hess - hess.swapaxes(-1, -2)).max())
         ok = (jac_sup <= model.drift.m_f + tol) and (hess_sup <= model.drift.m_f + tol)
         detail = "" if ok else "sampled derivative norms exceed m_f"
         if model.drift.jac_from_fd or model.drift.hess_from_fd:
@@ -250,10 +257,13 @@ def check_assumptions(model: ModelSpec, plan: SamplingPlan | None = None,
             "hess_from_fd": model.drift.hess_from_fd,
         }, detail.strip())
 
-    if "a3" in bad:
-        t_bad, x_bad = bad["a3"]
-        entries["a3"] = AssumptionEntry(False, {}, f"non-finite perturbation at t={t_bad}, x={x_bad.tolist()}")
+    bad = first_bad(mv)
+    if bad:
+        entries["a3"] = AssumptionEntry(False, {}, f"non-finite perturbation at {bad}")
     else:
+        # Row-by-row dot products, the arithmetic of np.linalg.norm on one
+        # vector (norm(axis=1) sums the squares in another order).
+        m_sup = float(np.sqrt((mv[:, None, :] @ mv[:, :, None]).max()))
         entries["a3"] = AssumptionEntry(np.isfinite(m_sup), {"m_norm_sup": m_sup})
 
     return AssumptionReport(model_name=model.name or model.drift.name,

@@ -19,12 +19,11 @@ ellipticity hold, although F itself may be unbounded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .flow import DEFAULT_TOL, advance_flow_many, flow_jet_many
-from .models import ModelSpec
+from .models import ModelSpec, _per_time
 from .noise import normal_block, rademacher_block
 
 SCHEME_ORIGINAL = "original"
@@ -40,12 +39,16 @@ _COEFF_BLOCK = 8192
 
 @dataclass
 class TransformedCoefficients:
-    """Drift and diffusion of the detrended SDE, as plain callables."""
+    """Drift and diffusion of the detrended SDE."""
 
-    m_tilde: Callable[[float, np.ndarray], np.ndarray]
-    sigma_tilde: Callable[[float, np.ndarray], np.ndarray]
     source: ModelSpec
     flow_tol: float
+
+    def m_tilde(self, t: float, y: np.ndarray) -> np.ndarray:
+        return _eval_single(self, t, y)[0]
+
+    def sigma_tilde(self, t: float, y: np.ndarray) -> np.ndarray:
+        return _eval_single(self, t, y)[1]
 
     def evaluate_batch(self, t, ys: np.ndarray, return_jets: bool = False):
         """Coefficients for a batch of states at time t, a scalar or one
@@ -68,38 +71,13 @@ class TransformedCoefficients:
         return m_t, s_t
 
 
-def _per_time(fn, t, ys: np.ndarray) -> np.ndarray:
-    """fn(t_k, rows) once per distinct time t_k of t, a scalar or one
-    time per row of ys, reassembled in row order."""
-    ts = np.full(ys.shape[:1], t, dtype=float)
-    order = np.argsort(ts, kind="stable")
-    cuts = np.flatnonzero(np.diff(ts[order])) + 1
-    parts = [np.asarray(fn(float(ts[i[0]]), ys[i])) for i in np.split(order, cuts)]
-    out = np.empty(ys.shape[:1] + parts[0].shape[1:])
-    out[order] = np.concatenate(parts)
-    return out
-
-
 def make_transform(model: ModelSpec, flow_tol: float = DEFAULT_TOL) -> TransformedCoefficients:
     """Build the transformed coefficients for a model that satisfies the
     standing assumptions.  Zero drift degenerates to the original pair.
 
     Flow failures propagate with the offending (t, y) in the message.
     """
-    holder: dict = {}
-
-    def m_tilde(t: float, y: np.ndarray) -> np.ndarray:
-        m, _ = _eval_single(holder["tc"], t, y)
-        return m
-
-    def sigma_tilde(t: float, y: np.ndarray) -> np.ndarray:
-        _, s = _eval_single(holder["tc"], t, y)
-        return s
-
-    tc = TransformedCoefficients(m_tilde=m_tilde, sigma_tilde=sigma_tilde,
-                                 source=model, flow_tol=flow_tol)
-    holder["tc"] = tc
-    return tc
+    return TransformedCoefficients(source=model, flow_tol=flow_tol)
 
 
 def _eval_single(tc: TransformedCoefficients, t: float, y: np.ndarray):

@@ -86,6 +86,28 @@ def test_transform_sde_artifacts(tmp_path, capsys):
     assert len(summary["config_sha256"]) == 64
 
 
+def test_csv_values_keep_their_round_trip_repr(tmp_path):
+    def old_rule(v):
+        # The formatting the writer must keep: floats by repr, the rest by str.
+        if isinstance(v, (float, np.floating)):
+            return repr(float(v))
+        return str(v)
+    values = [-0.0, 1e-05, 1e16, 5e-324, np.nan, np.inf, -np.inf, 0.1, 1 / 3]
+    paths = np.array(values).reshape(1, -1, 1)
+    times = np.arange(len(values), dtype=float)
+    direct = [3, np.int64(7), *map(np.float64, values), "x"]
+    cfg = ExperimentConfig.from_dict({})
+    path = tmp_path / "rows.csv"
+    cli._write_csv(path, cfg, ["h"],
+                   [*cli._path_rows(times, paths, "scheme"), direct])
+    lines = path.read_text().splitlines()[2:]
+    want = [",".join(old_rule(v) for v in (0, k, times[k], paths[0, k, 0], "scheme"))
+            for k in range(len(values))]
+    want.append(",".join(old_rule(v) for v in direct))
+    assert lines == want
+    assert lines[0].split(",")[3] == "-0.0" and lines[3].split(",")[3] == "5e-324"
+
+
 def test_transform_sde_bitwise_determinism(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     main(["transform-sde", *FAST_SDE, "--out", str(a)])
@@ -196,6 +218,17 @@ def test_bad_quad_nodes_exits_2(tmp_path):
 def test_unknown_suite_name_exits_2(tmp_path):
     assert main(["verify", "--set", 'suite=["not_a_check"]',
                  "--out", str(tmp_path)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("expr, message", [
+    ("model=[]", "model must be a JSON object"),
+    ("transform=[]", "transform must be a JSON object"),
+    ('model="sine"', "model must be a JSON object"),
+    ('suite="liouville"', "suite must be a list"),
+])
+def test_config_section_of_wrong_type_exits_2(tmp_path, capsys, expr, message):
+    assert main(["verify", "--set", expr, "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
 
 
 def test_malformed_config_file_exits_2(tmp_path):

@@ -11,6 +11,7 @@ from detrend_sde import (AssumptionError, ModelSpec, SamplingPlan,
                          drift_from_function, fd_hessian, fd_jacobian,
                          list_builtin_models)
 from detrend_sde.sampling import sample_box
+from tests.conftest import make_swap_drift
 
 FD_ATOL = 1e-6
 FD_RTOL = 1e-4
@@ -118,6 +119,122 @@ def test_nonfinite_drift_reports_location():
     report = check_assumptions(m)
     assert not report.passed
     assert "non-finite" in report.entries["a2"].detail
+
+
+def _reference_measured(model, plan):
+    """The per-sample loop that check_assumptions batches: one
+    evaluation of every callable per (t, x) sample."""
+    ts, xs = plan.materialize()
+    d = model.dim
+    eig_min, eig_max = np.inf, -np.inf
+    jac_sup = hess_sup = asym_max = m_sup = 0.0
+    for t, x in zip(ts, xs):
+        xb = x[None, :]
+        sig = np.asarray(model.sigma(t, xb), dtype=float).reshape(d, d)
+        jac = np.asarray(model.drift.jac(t, xb), dtype=float).reshape(d, d)
+        hess = np.asarray(model.drift.hess(t, xb), dtype=float).reshape(d, d, d)
+        mv = np.asarray(model.bounded_drift(t, xb), dtype=float).reshape(d)
+        w = np.linalg.eigvalsh(sig @ sig.T)
+        eig_min, eig_max = min(eig_min, float(w[0])), max(eig_max, float(w[-1]))
+        jac_sup = max(jac_sup, float(np.linalg.svd(jac, compute_uv=False)[0]))
+        hess_sup = max(hess_sup, float(np.linalg.svd(hess, compute_uv=False)[:, 0].max()))
+        asym_max = max(asym_max, float(np.abs(hess - hess.swapaxes(1, 2)).max()))
+        m_sup = max(m_sup, float(np.linalg.norm(mv)))
+    drift = model.drift
+    return {
+        "a1": {"declared_lambda": model.lambda_, "eig_min": eig_min, "eig_max": eig_max},
+        "a2": {"m_f": drift.m_f, "jac_norm_sup": jac_sup, "hess_norm_sup": hess_sup,
+               "hess_asymmetry_max": asym_max, "jac_from_fd": drift.jac_from_fd,
+               "hess_from_fd": drift.hess_from_fd},
+        "a3": {"m_norm_sup": m_sup},
+    }
+
+
+def _swap_model():
+    # Coupled, time-dependent drift, a state-dependent perturbation and
+    # a non-diagonal diffusion, so no measured value is exact.
+    base = builtin_model("zero_drift", dim=2, sigma0=[[1.0, 0.3], [0.2, 0.9]])
+    return ModelSpec(drift=make_swap_drift(),
+                     bounded_drift=lambda t, x: (0.5 + 0.1 * t) * np.cos(x),
+                     sigma=base.sigma, lambda_=base.lambda_, dim=2,
+                     horizon=1.0, x0=np.array([0.3, -0.1]), name="swap")
+
+
+ASSUMPTION_MODELS = {
+    **{name: (lambda name=name: builtin_model(name))
+       for name, _ in list_builtin_models()},
+    "sine_d2": lambda: builtin_model("sine", alpha=0.8, beta=1.3, dim=2),
+    "linear_callable_b": lambda: builtin_model(
+        "linear", b=lambda t: [[0.4 * t, 0.2], [-0.1, 0.3 - t]], dim=2),
+    "swap": _swap_model,
+}
+
+
+@pytest.mark.parametrize("key", sorted(ASSUMPTION_MODELS))
+def test_batched_check_matches_per_sample_loop(key):
+    model = ASSUMPTION_MODELS[key]()
+    plan = SamplingPlan(t_span=(0.0, model.horizon),
+                        lo=model.x0 - 2.0, hi=model.x0 + 2.0)
+    entries = check_assumptions(model).to_dict()["entries"]
+    assert {k: e["measured"] for k, e in entries.items()} \
+        == _reference_measured(model, plan)
+    assert all(e["passed"] for e in entries.values())
+
+
+def test_check_calls_each_callable_once_per_sample_time():
+    model = _swap_model()
+    calls = {}
+
+    def recording(name, fn):
+        def call(t, x):
+            calls.setdefault(name, []).append(t)
+            return fn(t, x)
+        return call
+    model.sigma = recording("sigma", model.sigma)
+    model.bounded_drift = recording("m", model.bounded_drift)
+    model.drift.jac = recording("jac", model.drift.jac)
+    model.drift.hess = recording("hess", model.drift.hess)
+    report = check_assumptions(model)
+    ts, _ = report.plan.materialize()
+    assert np.unique(ts).size < ts.size  # the time ends repeat
+    assert set(calls) == {"sigma", "m", "jac", "hess"}
+    for seen in calls.values():
+        assert all(type(t) is float for t in seen)
+        assert sorted(seen) == np.unique(ts).tolist()
+
+
+def test_nonfinite_entries_report_first_sample_in_sample_order():
+    base = builtin_model("zero_drift", dim=2)
+    plan = SamplingPlan(t_span=(0.0, 1.0), lo=np.full(2, -2.0),
+                        hi=np.full(2, 2.0), n_samples=64, seed=3)
+    ts, xs = plan.materialize()
+    bad_sigma = xs[:, 0] > 1.0
+    bad_m = xs[:, 1] > 1.0
+
+    def sigma(t, x):
+        s = base.sigma(t, x)
+        s[x[:, 0] > 1.0] = np.nan
+        return s
+
+    def m(t, x):
+        out = base.bounded_drift(t, x)
+        out[x[:, 1] > 1.0] = np.inf
+        return out
+    model = ModelSpec(drift=base.drift, bounded_drift=m, sigma=sigma,
+                      lambda_=base.lambda_, dim=2, horizon=1.0,
+                      x0=base.x0, name="two_faults")
+    report = check_assumptions(model, plan)
+    i_sigma, i_m = np.argmax(bad_sigma), np.argmax(bad_m)
+    assert i_sigma != i_m
+    # The first offender in sample order is not the earliest in time,
+    # so a report in time order would name another point.
+    assert ts[bad_sigma].min() < ts[i_sigma] and ts[bad_m].min() < ts[i_m]
+    assert report.entries["a1"].detail == \
+        f"non-finite diffusion at t={float(ts[i_sigma])}, x={xs[i_sigma].tolist()}"
+    assert report.entries["a3"].detail == \
+        f"non-finite perturbation at t={float(ts[i_m])}, x={xs[i_m].tolist()}"
+    assert not report.entries["a1"].passed and not report.entries["a3"].passed
+    assert report.entries["a2"].passed
 
 
 def test_elliptic_sigma_required():
