@@ -23,12 +23,15 @@ the integrand at each node is the inverse Jacobian evaluated via the
 product form at the inverted base point.  For linear fields the
 integrand is constant in u and the identity is exact for any node count.
 
-Inversion is batched over rows but converges row by row: each row has
+The broken line is inverted one way only, by a backward sweep over the
+layers, batched over rows but converging row by row: each row has
 its own tolerance, damping and stopping test, and a converged row is
 frozen while the others iterate.  A row's result therefore does not
 depend on which rows share its batch, so transform_chain inverts
 fixed blocks of paths one after another: the block size bounds the
 working set and peak memory but does not change the output bits.
+invert_broken_line runs the same sweep on one point and checks the
+composite residual relative to |y|, as the layers check theirs.
 """
 
 from __future__ import annotations
@@ -317,39 +320,28 @@ def _forward_values(drift: DriftSpec, partition: Partition, k: int,
 
 
 def invert_broken_line(drift: DriftSpec, partition: Partition, k: int,
-                       y: np.ndarray, tol: float = DEFAULT_INVERSION_TOL,
-                       method: str = "layered") -> np.ndarray:
-    """x with gh(t_k; 0, x) = y.
+                       y: np.ndarray,
+                       tol: float = DEFAULT_INVERSION_TOL) -> np.ndarray:
+    """x with gh(t_k; 0, x) = y, by the layered sweep of transform_chain
+    on the single row y.
 
     Requires max_j h_j * m_f < 1/2 so each layer map is invertible by a
-    contractive Newton iteration.  The default walks layers backward;
-    method="newton" runs a full-map Newton on the composite instead.
-    Termination is checked on the composite residual ||gh(t_k;0,x) - y||.
+    contractive Newton iteration.  The result is accepted when the
+    composite residual ||gh(t_k; 0, x) - y||_2 is at most
+    tol (1 + ||y||_inf), relative to |y| like each layer's own test;
+    otherwise InversionError carries the residual.
     """
     _check_contraction(drift, partition)
     if not 0 <= k <= partition.n:
         raise ValueError("level k outside the partition")
-    y = np.asarray(y, dtype=float).reshape(drift.dim)
-    if k == 0:
-        return y.copy()
-    if method == "layered":
-        x = _invert_layers_batch(drift, partition, k, y[None, :], tol)[0]
-        if np.linalg.norm(_forward_values(drift, partition, k, x[None, :])[0] - y) <= tol:
-            return x
-    elif method == "newton":
-        x = y.copy()
-    else:
-        raise ValueError(f"unknown inversion method {method!r}")
-    # Full-map Newton on the composite; it also polishes a layered
-    # result that misses the composite tolerance.
-    for _ in range(_NEWTON_CAP):
-        bl = broken_line(drift, partition, x)
-        r = bl.values[k] - y
-        resid = float(np.linalg.norm(r))
-        if resid <= tol:
-            return x
-        x = x - np.linalg.solve(bl.jacobians[k], r)
-    raise InversionError("full-map Newton did not reach tol", residual=resid)
+    y = np.asarray(y, dtype=float).reshape(1, drift.dim)
+    x = _invert_layers_batch(drift, partition, k, y, tol)
+    # Python floats: a numpy norm costs microseconds on one point.
+    resid = math.hypot(*(_forward_values(drift, partition, k, x) - y)[0].tolist())
+    if resid <= tol * (1.0 + max(map(abs, y[0].tolist()))):
+        return x[0]
+    raise InversionError("layered inversion missed the composite tolerance",
+                         residual=resid)
 
 
 @dataclass

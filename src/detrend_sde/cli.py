@@ -61,6 +61,31 @@ def _strict(d: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _section(cls, d: dict, where: str, **casts):
+    """cls from the JSON object d.  A missing field takes the dataclass
+    default; a given one is passed through its cast, if it has one, in
+    the order the casts are listed."""
+    _strict(d, {f.name for f in dataclasses.fields(cls)}, where)
+    return cls(**{**d, **{k: cast(d[k]) for k, cast in casts.items() if k in d}})
+
+
+def _n_steps(v):
+    if not isinstance(v, list):
+        return int(v)
+    if not v:
+        raise ConfigError("simulation.n_steps must not be empty")
+    return [int(s) for s in v]
+
+
+def _suite(v):
+    if not isinstance(v, list):
+        raise ConfigError("suite must be a list")
+    unknown = set(v) - set(ALL_CHECKS)
+    if unknown:
+        raise ConfigError(f"unknown suite checks: {sorted(unknown)}")
+    return list(v)
+
+
 @dataclass
 class ModelConfig:
     name: str = "sine"
@@ -68,22 +93,19 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        _strict(d, {"name", "params"}, "model")
-        return cls(name=d.get("name", "sine"), params=dict(d.get("params", {})))
+        return _section(cls, d, "model", params=dict)
 
 
 @dataclass
 class PartitionConfig:
     kind: str = "uniform"
     n: int = 256
-    T: float | None = None
+    T: float | None = None  # uncast: 1 and 1.0 hash differently
     c: float = 1.0
 
     @classmethod
     def from_dict(cls, d: dict) -> "PartitionConfig":
-        _strict(d, {"kind", "n", "T", "c"}, "partition")
-        return cls(kind=d.get("kind", "uniform"), n=int(d.get("n", 256)),
-                   T=d.get("T"), c=float(d.get("c", 1.0)))
+        return _section(cls, d, "partition", n=int, c=float)
 
 
 @dataclass
@@ -95,15 +117,8 @@ class SimulationConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimulationConfig":
-        _strict(d, {"n_paths", "n_steps", "seed", "innovation"}, "simulation")
-        n_steps = d.get("n_steps", 256)
-        if isinstance(n_steps, list):
-            n_steps = [int(v) for v in n_steps]
-        else:
-            n_steps = int(n_steps)
-        return cls(n_paths=int(d.get("n_paths", 100)), n_steps=n_steps,
-                   seed=int(d.get("seed", 0)),
-                   innovation=d.get("innovation", "normal"))
+        return _section(cls, d, "simulation", n_steps=_n_steps, n_paths=int,
+                        seed=int)
 
 
 @dataclass
@@ -114,10 +129,8 @@ class TransformConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TransformConfig":
-        _strict(d, {"flow_tol", "quad_nodes", "inversion_tol"}, "transform")
-        return cls(flow_tol=float(d.get("flow_tol", 1e-10)),
-                   quad_nodes=int(d.get("quad_nodes", 16)),
-                   inversion_tol=float(d.get("inversion_tol", 1e-12)))
+        return _section(cls, d, "transform", flow_tol=float, quad_nodes=int,
+                        inversion_tol=float)
 
 
 @dataclass
@@ -126,8 +139,7 @@ class OutputConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "OutputConfig":
-        _strict(d, {"dir"}, "output")
-        return cls(dir=str(d.get("dir", "out")))
+        return _section(cls, d, "output", dir=str)
 
 
 @dataclass
@@ -141,20 +153,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        _strict(d, {"model", "partition", "simulation", "transform",
-                    "output", "suite"}, "config")
-        suite = d.get("suite", list(ALL_CHECKS))
-        if not isinstance(suite, list):
-            raise ConfigError("suite must be a list")
-        unknown = set(suite) - set(ALL_CHECKS)
-        if unknown:
-            raise ConfigError(f"unknown suite checks: {sorted(unknown)}")
-        return cls(model=ModelConfig.from_dict(d.get("model", {})),
-                   partition=PartitionConfig.from_dict(d.get("partition", {})),
-                   simulation=SimulationConfig.from_dict(d.get("simulation", {})),
-                   transform=TransformConfig.from_dict(d.get("transform", {})),
-                   output=OutputConfig.from_dict(d.get("output", {})),
-                   suite=list(suite))
+        return _section(cls, d, "config", suite=_suite,
+                        model=ModelConfig.from_dict,
+                        partition=PartitionConfig.from_dict,
+                        simulation=SimulationConfig.from_dict,
+                        transform=TransformConfig.from_dict,
+                        output=OutputConfig.from_dict)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -115,14 +115,35 @@ def test_chain_regeneration_bitwise():
     assert np.array_equal(a.innovations, b.innovations)
 
 
-def test_inversion_roundtrip_both_methods(swap_drift):
+def test_inversion_roundtrip(swap_drift):
     p = make_partition(40, "uniform", T=1.0)
     bl = broken_line(swap_drift, p, np.array([0.3, -0.5]))
     y = bl.values[40]
-    for method in ("layered", "newton"):
-        x = invert_broken_line(swap_drift, p, 40, y, method=method)
-        assert_allclose(x, [0.3, -0.5], atol=1e-10)
+    x = invert_broken_line(swap_drift, p, 40, y)
+    assert_allclose(x, [0.3, -0.5], atol=1e-10)
     assert invert_broken_line(swap_drift, p, 0, y) is not y
+
+
+def test_inversion_of_large_states_meets_relative_tolerance():
+    # The trend is meant to grow without bound, so large chain states
+    # must invert too; an absolute composite test cannot be met at
+    # |y| ~ 1e4, where one ulp of y is already ~2e-12.
+    drift = builtin_model("sine", alpha=0.8, beta=1.3, dim=2).drift
+    p = make_partition(64, "geometric", T=1.0)
+    rng = np.random.default_rng(0)
+    for y, k in zip(rng.uniform(-1e4, 1e4, (200, 2)),
+                    rng.integers(1, p.n + 1, 200)):
+        x = invert_broken_line(drift, p, int(k), y)
+        resid = np.linalg.norm(broken_line(drift, p, x).values[k] - y)
+        assert resid <= chain.DEFAULT_INVERSION_TOL * (1.0 + np.abs(y).max())
+
+
+def test_unreachable_inversion_tolerance_raises_with_residual():
+    drift = builtin_model("sine", alpha=0.8, beta=1.3, dim=2).drift
+    p = make_partition(64, "geometric", T=1.0)
+    with pytest.raises(InversionError) as exc:
+        invert_broken_line(drift, p, 40, np.array([0.7, -1.2]), tol=1e-300)
+    assert np.isfinite(exc.value.residual)
 
 
 def test_inversion_contraction_guard():

@@ -225,6 +225,7 @@ def test_unknown_suite_name_exits_2(tmp_path):
     ("transform=[]", "transform must be a JSON object"),
     ('model="sine"', "model must be a JSON object"),
     ('suite="liouville"', "suite must be a list"),
+    ("simulation.n_steps=[]", "simulation.n_steps must not be empty"),
 ])
 def test_config_section_of_wrong_type_exits_2(tmp_path, capsys, expr, message):
     assert main(["verify", "--set", expr, "--out", str(tmp_path)]) == EXIT_CONFIG
