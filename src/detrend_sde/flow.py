@@ -19,6 +19,11 @@ is symmetric in (j, k) and vanishes identically for linear fields; the
 second derivative of the inverse map is -M c.  exp(s) reproduces det Z
 (Liouville), giving an independent route to the determinant.
 
+For d >= 2 the tensor terms J W, F_xx(Z, Z) and c are batched matmuls
+that keep einsum's product order (F_xx Z first, then Z; W M first, then
+M), so diagonal and linear fields give the einsum bits; for d = 1 every
+product is elementwise.
+
 All entry points accept a single point or a batch.  The *_many entry
 points also take one end time per row: a batch is integrated in one
 call, error-controlled across its live rows, and each row retires at
@@ -67,7 +72,7 @@ def _rhs_jet(drift: DriftSpec, d: int, order: int):
         H = drift.hess(t, y) if order == 2 else None
         if d == 1:
             # Every product is a scalar one, and elementwise products
-            # cost less than batched matmuls and einsums over 1x1 blocks.
+            # cost less than batched matmuls over 1x1 blocks.
             j = J.reshape(-1)
             out[:, 1] = j * u[:, 1]
             out[:, 2] = -(u[:, 2] * j)
@@ -80,11 +85,10 @@ def _rhs_jet(drift: DriftSpec, d: int, order: int):
         out[:, d:d + dd] = (J @ Z).reshape(-1, dd)
         out[:, d + dd:d + 2 * dd] = (-(M @ J)).reshape(-1, dd)
         if order == 2:
-            W = u[:, w].reshape(-1, d, d, d)
-            dW = np.einsum("bil,bljk->bijk", J, W) \
-                + np.einsum("bilp,blj,bpk->bijk", H, Z, Z)
-            out[:, w] = dW.reshape(-1, ddd)
-        out[:, -1] = np.einsum("bii->b", J)
+            JW = J @ u[:, w].reshape(-1, d, dd)
+            HZZ = (Z.swapaxes(1, 2)[:, None] @ H) @ Z[:, None]
+            out[:, w] = JW.reshape(-1, ddd) + HZZ.reshape(-1, ddd)
+        out[:, -1] = J.trace(axis1=1, axis2=2)
         return out
     return rhs
 
@@ -143,7 +147,7 @@ def flow_jet_many(drift: DriftSpec, t0: float, t1, xs: np.ndarray,
     if order == 2:
         W = u[:, d + 2 * dd:d + 2 * dd + ddd].reshape(b, d, d, d)
         M = out["g_star_inv"]
-        out["c"] = np.einsum("bilp,bpj,blk->bijk", W, M, M)
+        out["c"] = (W @ M[:, None]).swapaxes(2, 3) @ M[:, None]
     return out
 
 

@@ -375,6 +375,7 @@ def _sine_model(alpha=1.0, beta=1.0, dim=1, horizon=1.0, x0=None, m0=0.5, sigma0
     alpha, beta = float(alpha), float(beta)
     if alpha < 0 or beta <= 0:
         raise ValueError("alpha must be >= 0 and beta > 0")
+    idx = np.arange(dim)
 
     def f(t, x):
         return alpha * np.sin(beta * np.asarray(x, dtype=float))
@@ -382,14 +383,12 @@ def _sine_model(alpha=1.0, beta=1.0, dim=1, horizon=1.0, x0=None, m0=0.5, sigma0
     def jac(t, x):
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape + (dim,))
-        idx = np.arange(dim)
         out[..., idx, idx] = alpha * beta * np.cos(beta * x)
         return out
 
     def hess(t, x):
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape + (dim, dim))
-        idx = np.arange(dim)
         out[..., idx, idx, idx] = -alpha * beta**2 * np.sin(beta * x)
         return out
 

@@ -1,5 +1,8 @@
 """Phase flow, variational jets, inverse maps, and the volume identity."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,11 +10,12 @@ from scipy.linalg import expm
 
 from detrend_sde import (FlowIntegrationError, SingularJacobianError,
                          advance_flow, advance_flow_many, builtin_model,
-                         flow_jet, flow_jet_many, flow_time_derivatives,
-                         inverse_flow, inverse_flow_many,
-                         liouville_determinant)
+                         drift_from_function, flow, flow_jet, flow_jet_many,
+                         flow_time_derivatives, inverse_flow,
+                         inverse_flow_many, liouville_determinant, rk)
 from detrend_sde.sampling import sample_box, sample_time_box
-from tests._oracles import rk4
+from tests._oracles import (c_tensor, jet_rhs, rk4, sine_fields, swap_fields,
+                            unpack_jet)
 from tests.conftest import (FROZEN, SINE2_T, SINE2_X, SWAP2_T, SWAP2_X,
                             make_swap_drift, quadratic_drift)
 
@@ -262,3 +266,113 @@ def test_state_of_the_wrong_length_rejected(sine2_model):
     for advance in (advance_flow, advance_flow_many):
         with pytest.raises(ValueError):
             advance(sine2_model.drift, 0.0, 0.5, np.zeros(3))
+
+
+def _quadratic_fields(d, seed):
+    """F(x) = a + B x + Q(x, x) / 2 with dense B and (j, k)-symmetric Q;
+    the callables take one row or a batch."""
+    rng = np.random.default_rng(seed)
+    a, B = rng.normal(size=d), rng.normal(size=(d, d))
+    Q = rng.normal(size=(d, d, d))
+    Q = 0.5 * (Q + Q.swapaxes(1, 2))
+
+    def f(t, x):
+        return a + x @ B.T + 0.5 * np.einsum("ijk,...j,...k->...i", Q, x, x)
+
+    def jac(t, x):
+        return B + np.einsum("ijk,...k->...ij", Q, x)
+
+    def hess(t, x):
+        return np.broadcast_to(Q, np.shape(x)[:-1] + Q.shape)
+    return f, jac, hess
+
+
+def _rhs_case(kind, d):
+    """A batched drift and the same field's one-row callables."""
+    if kind == "sine":
+        return builtin_model("sine", alpha=0.8, beta=1.3, dim=d).drift, \
+            sine_fields(0.8, 1.3)
+    if kind == "swap":
+        return make_swap_drift(), swap_fields(0.6, 1.1)
+    fields = _quadratic_fields(d, seed=d)
+    # m_f is a bound the right-hand side never reads.
+    return drift_from_function(fields[0], d, 1.0, *fields[1:]), fields
+
+
+KERNEL_TOL = 1e-14
+
+
+def _random_jet_state(d, rows, seed):
+    """Augmented states [y, Z, M, W, s] with Z and M near the identity."""
+    dd = d * d
+    u = np.random.default_rng(seed).uniform(-1.0, 1.0,
+                                            (rows, d + 2 * dd + dd * d + 1))
+    u[:, d:d + 2 * dd] = 0.3 * u[:, d:d + 2 * dd] + np.tile(np.eye(d).ravel(), 2)
+    return u
+
+
+def _assert_close_rows(got, want):
+    assert np.all(np.abs(got - want) <= KERNEL_TOL * (1.0 + np.abs(want)))
+
+
+# Diagonal (sine) and dense (swap, quadratic) J and H.
+@pytest.mark.parametrize("kind, d", [("sine", 2), ("sine", 3), ("swap", 2),
+                                     ("quadratic", 2), ("quadratic", 3)])
+def test_order2_rhs_matches_oracle_per_row(kind, d):
+    drift, fields = _rhs_case(kind, d)
+    u = _random_jet_state(d, 9, seed=d)
+    got = flow._rhs_jet(drift, d, 2)(0.4, u)
+    oracle = jet_rhs(*fields, d)
+    for row, out in zip(u, got):
+        _assert_close_rows(out, oracle(0.4, row))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_c_contraction_matches_oracle(monkeypatch, d):
+    u = _random_jet_state(d, 6, seed=10 + d)
+    # Hand flow_jet_many a known end state in place of the solve.
+    monkeypatch.setattr(rk, "integrate", lambda *args, **kwargs: u)
+    drift = builtin_model("sine", dim=d).drift
+    c = flow_jet_many(drift, 0.0, 0.5, u[:, :d])["c"]
+    for row, got in zip(u, c):
+        _, Z, M, W, _ = unpack_jet(row, d)
+        _assert_close_rows(got, c_tensor(Z, M, W))
+
+
+# Jets pinned bit for bit.  tests/frozen_jets.json was written with the
+# einsum contractions that the d >= 2 right-hand side and c used before
+# they became matmuls in einsum's product order.  On these fields every
+# regrouped sum has at most one nonzero term, so the bits must not move;
+# rewriting the file from a later kernel would pin nothing.
+# Written with:  PYTHONPATH=src python3 -m tests.test_flow
+FROZEN_JETS_PATH = Path(__file__).with_name("frozen_jets.json")
+FROZEN_JET_MODELS = {
+    "sine2": ("sine", {"alpha": 0.8, "beta": 1.3, "dim": 2}),
+    "sine3": ("sine", {"alpha": 0.8, "beta": 1.3, "dim": 3}),
+    "linear2": ("linear", {"b": [[0.3, -0.5], [0.2, 0.1]]}),
+    "zero_drift2": ("zero_drift", {"dim": 2}),
+}
+
+
+def _frozen_case_jets(name):
+    model, params = FROZEN_JET_MODELS[name]
+    drift = builtin_model(model, **params).drift
+    xs = sample_box(np.full(drift.dim, -1.5), np.full(drift.dim, 1.5), 3,
+                    seed=12)
+    return flow_jet_many(drift, 0.0, 0.7, xs)
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_JET_MODELS))
+def test_jets_equal_frozen_bits(name):
+    frozen = json.loads(FROZEN_JETS_PATH.read_text())[name]
+    jets = _frozen_case_jets(name)
+    assert sorted(jets) == sorted(frozen)
+    for key, value in jets.items():
+        assert np.array_equal(value, np.array(frozen[key])), key
+
+
+if __name__ == "__main__":
+    FROZEN_JETS_PATH.write_text(json.dumps(
+        {name: {key: value.tolist()
+                for key, value in _frozen_case_jets(name).items()}
+         for name in sorted(FROZEN_JET_MODELS)}, indent=1) + "\n")
