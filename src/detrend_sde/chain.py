@@ -48,6 +48,7 @@ from .models import DriftSpec, ModelSpec
 from .transform import _simulate_paths
 
 DEFAULT_INVERSION_TOL = 1e-12
+DEFAULT_QUAD_NODES = 16
 _NEWTON_CAP = 100
 # Paths per layer-inversion batch in transform_chain (each path brings
 # quad_nodes + 1 rows).  It bounds the working set: with 10^4 paths one
@@ -119,13 +120,15 @@ def make_partition(n: int, kind: str = "uniform", T: float = 1.0,
 
 @dataclass
 class BrokenLine:
-    """Drift-only Euler polygon from one base point with its Jacobians."""
+    """Drift-only Euler polygon from one base point with its Jacobians
+    and the layer matrices A_j = I + h_j F_x(t_j, v_j), shape (n, d, d)."""
 
     base: np.ndarray
     values: np.ndarray
     jacobians: np.ndarray
     partition: Partition
     drift: DriftSpec
+    layers: np.ndarray
 
 
 def broken_line(drift: DriftSpec, partition: Partition, x: np.ndarray) -> BrokenLine:
@@ -135,6 +138,7 @@ def broken_line(drift: DriftSpec, partition: Partition, x: np.ndarray) -> Broken
     n = partition.n
     values = np.empty((n + 1, d))
     jacs = np.empty((n + 1, d, d))
+    layers = np.empty((n, d, d))
     values[0] = x
     jacs[0] = np.eye(d)
     acc = np.zeros((d, d))
@@ -147,26 +151,16 @@ def broken_line(drift: DriftSpec, partition: Partition, x: np.ndarray) -> Broken
         acc = acc + h * (jk @ jacs[k])
         values[k + 1] = values[k] + h * fk
         jacs[k + 1] = np.eye(d) + acc
+        layers[k] = np.eye(d) + h * jk
     return BrokenLine(base=x, values=values, jacobians=jacs,
-                      partition=partition, drift=drift)
-
-
-def _layer_matrices(bl: BrokenLine, k: int) -> np.ndarray:
-    """A_j = I + h_j F_x(t_j, v_j) for j < k, shape (k, d, d)."""
-    d = bl.drift.dim
-    out = np.empty((k, d, d))
-    for j in range(k):
-        jj = np.asarray(bl.drift.jac(bl.partition.times[j], bl.values[j][None, :]))[0]
-        out[j] = np.eye(d) + bl.partition.steps[j] * jj
-    return out
+                      partition=partition, drift=drift, layers=layers)
 
 
 def product_jacobian(bl: BrokenLine, k: int) -> np.ndarray:
     """Ordered product A_{k-1} ... A_0; equals jacobians[k] in exact
     arithmetic."""
-    d = bl.drift.dim
-    P = np.eye(d)
-    for A in _layer_matrices(bl, k):
+    P = np.eye(bl.drift.dim)
+    for A in bl.layers[:k]:
         P = A @ P
     return P
 
@@ -175,7 +169,7 @@ def inverse_jacobian_product(bl: BrokenLine, k: int) -> np.ndarray:
     """Ordered product A_0^{-1} ... A_{k-1}^{-1}, the inverse of
     jacobians[k] computed without ever forming it."""
     Q = np.eye(bl.drift.dim)
-    for A in _layer_matrices(bl, k)[::-1]:
+    for A in bl.layers[:k][::-1]:
         Q = solve_small(A, Q)
     return Q
 
@@ -399,7 +393,7 @@ def _gauss_legendre_01(q: int):
 
 
 def transform_chain(model: ModelSpec, partition: Partition, run: ChainRun,
-                    quad_nodes: int = 16,
+                    quad_nodes: int = DEFAULT_QUAD_NODES,
                     inversion_tol: float = DEFAULT_INVERSION_TOL) -> TransformedChainRun:
     """Detrend a simulated chain.
 

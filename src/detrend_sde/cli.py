@@ -23,14 +23,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chain import (broken_line, inverse_jacobian_product, jacobian_limit_check,
+from .chain import (DEFAULT_INVERSION_TOL, DEFAULT_QUAD_NODES, broken_line,
+                    inverse_jacobian_product, jacobian_limit_check,
                     make_partition, product_jacobian, simulate_chain,
                     transform_chain)
 from .diagnostics import boundedness_scan, strong_order_estimate
 from .errors import (AssumptionError, ConfigError, DetrendError,
                      FlowIntegrationError, InversionError,
                      SingularJacobianError)
-from .flow import (advance_flow, advance_flow_many, flow_jet_many,
+from .flow import (DEFAULT_TOL, advance_flow, advance_flow_many, flow_jet_many,
                    flow_time_derivatives, inverse_flow)
 from .models import (_spectral_norms, builtin_model, check_assumptions,
                      list_builtin_models)
@@ -75,6 +76,22 @@ def _n_steps(v):
     if not v:
         raise ConfigError("simulation.n_steps must not be empty")
     return [int(s) for s in v]
+
+
+def _tolerance(key: str):
+    def cast(v):
+        v = float(v)
+        if not 0.0 < v < np.inf:
+            raise ConfigError(f"{key} must be finite and > 0, got {v}")
+        return v
+    return cast
+
+
+def _quad_nodes(v):
+    v = int(v)
+    if v < 2:
+        raise ConfigError(f"transform.quad_nodes must be >= 2, got {v}")
+    return v
 
 
 def _suite(v):
@@ -123,14 +140,16 @@ class SimulationConfig:
 
 @dataclass
 class TransformConfig:
-    flow_tol: float = 1e-10
-    quad_nodes: int = 16
-    inversion_tol: float = 1e-12
+    flow_tol: float = DEFAULT_TOL
+    quad_nodes: int = DEFAULT_QUAD_NODES
+    inversion_tol: float = DEFAULT_INVERSION_TOL
 
     @classmethod
     def from_dict(cls, d: dict) -> "TransformConfig":
-        return _section(cls, d, "transform", flow_tol=float, quad_nodes=int,
-                        inversion_tol=float)
+        return _section(cls, d, "transform",
+                        flow_tol=_tolerance("transform.flow_tol"),
+                        quad_nodes=_quad_nodes,
+                        inversion_tol=_tolerance("transform.inversion_tol"))
 
 
 @dataclass
@@ -562,7 +581,7 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except (ConfigError, ValueError, TypeError) as exc:
         # Library-level ValueError/TypeError signal invalid caller input
-        # (bad partition kind, quad_nodes < 2, negative seed, ...).
+        # (bad partition kind, negative seed, ...).
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except AssumptionError as exc:

@@ -123,7 +123,8 @@ def boundedness_scan(target, box=None, n_samples: int = 256,
     T = model.horizon
     lam = model.lambda_
     growth = np.sqrt(d) * np.exp(m_f * T)
-    sup_m_source = np.linalg.norm(_per_time(model.bounded_drift, ts, xs),
+    # m_tilde evaluates m at g(t; 0, y), not at the sample y itself.
+    sup_m_source = np.linalg.norm(_per_time(model.bounded_drift, ts, jets["g"]),
                                   axis=1).max()
     gsi_sup = gsi_norm.max()
     gs_sup = gs_norm.max()

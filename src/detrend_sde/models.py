@@ -274,24 +274,11 @@ def check_assumptions(model: ModelSpec, plan: SamplingPlan | None = None,
 # ---------------------------------------------------------------------------
 # Built-in models
 
-def _const_vector(v: np.ndarray):
-    def m(t, x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(v, x.shape).copy()
-    return m
-
-
-def _const_matrix(s: np.ndarray):
-    def sigma(t, x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(s, x.shape + (s.shape[-1],)).copy()
-    return sigma
-
-
-def _zeros_like_field():
-    def f(t, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-    return f
+def _constant(c: np.ndarray):
+    """(t, x) -> c at every point of a batch x of states."""
+    def const(t, x):
+        return np.broadcast_to(c, np.shape(x)[:-1] + c.shape).copy()
+    return const
 
 
 def _resolve_sigma(sigma0, dim: int):
@@ -319,16 +306,23 @@ def _resolve_m0(m0, dim: int):
     return m
 
 
+def _model(drift: DriftSpec, horizon, x0, m0, sigma0, x0_fill: float) -> ModelSpec:
+    """A built-in model named after its drift: constant perturbation m0,
+    constant diffusion sigma0, and x0 filled with x0_fill when None."""
+    dim = drift.dim
+    s, lam = _resolve_sigma(sigma0, dim)
+    x0 = np.full(dim, x0_fill) if x0 is None else np.asarray(x0, dtype=float)
+    return ModelSpec(drift=drift, bounded_drift=_constant(_resolve_m0(m0, dim)),
+                     sigma=_constant(s), lambda_=lam, dim=dim,
+                     horizon=float(horizon), x0=x0, name=drift.name)
+
+
 def _zero_drift_model(dim=2, horizon=1.0, x0=None, m0=1.0, sigma0=1.0):
-    drift = DriftSpec(f=_zeros_like_field(),
+    drift = DriftSpec(f=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
                       jac=lambda t, x: np.zeros(np.shape(x) + (dim,)),
                       hess=lambda t, x: np.zeros(np.shape(x) + (dim, dim)),
                       m_f=0.0, dim=dim, name="zero_drift")
-    s, lam = _resolve_sigma(sigma0, dim)
-    x0 = np.zeros(dim) if x0 is None else np.asarray(x0, dtype=float)
-    return ModelSpec(drift=drift, bounded_drift=_const_vector(_resolve_m0(m0, dim)),
-                     sigma=_const_matrix(s), lambda_=lam, dim=dim,
-                     horizon=float(horizon), x0=x0, name="zero_drift")
+    return _model(drift, horizon, x0, m0, sigma0, 0.0)
 
 
 def _linear_model(b=1.0, dim=None, horizon=1.0, x0=None, m0=1.0, sigma0=1.0):
@@ -364,11 +358,7 @@ def _linear_model(b=1.0, dim=None, horizon=1.0, x0=None, m0=1.0, sigma0=1.0):
         return np.zeros(np.shape(x) + (dim, dim))
 
     drift = DriftSpec(f=f, jac=jac, hess=hess, m_f=m_f, dim=dim, name="linear")
-    s, lam = _resolve_sigma(sigma0, dim)
-    x0 = np.full(dim, 1.0) if x0 is None else np.asarray(x0, dtype=float)
-    return ModelSpec(drift=drift, bounded_drift=_const_vector(_resolve_m0(m0, dim)),
-                     sigma=_const_matrix(s), lambda_=lam, dim=dim,
-                     horizon=float(horizon), x0=x0, name="linear")
+    return _model(drift, horizon, x0, m0, sigma0, 1.0)
 
 
 def _sine_model(alpha=1.0, beta=1.0, dim=1, horizon=1.0, x0=None, m0=0.5, sigma0=1.0):
@@ -394,18 +384,13 @@ def _sine_model(alpha=1.0, beta=1.0, dim=1, horizon=1.0, x0=None, m0=0.5, sigma0
 
     m_f = max(alpha * beta, alpha * beta**2)
     drift = DriftSpec(f=f, jac=jac, hess=hess, m_f=m_f, dim=dim, name="sine")
-    s, lam = _resolve_sigma(sigma0, dim)
-    x0 = np.full(dim, 0.5) if x0 is None else np.asarray(x0, dtype=float)
-    return ModelSpec(drift=drift, bounded_drift=_const_vector(_resolve_m0(m0, dim)),
-                     sigma=_const_matrix(s), lambda_=lam, dim=dim,
-                     horizon=float(horizon), x0=x0, name="sine")
+    return _model(drift, horizon, x0, m0, sigma0, 0.5)
 
 
 def _logistic_model(a=1.0, horizon=1.0, x0=None, m0=0.5, sigma0=1.0):
     a = float(a)
     if a < 0:
         raise ValueError("a must be >= 0")
-    dim = 1
 
     def _s(x):
         # Stable logistic on both tails.
@@ -431,13 +416,9 @@ def _logistic_model(a=1.0, horizon=1.0, x0=None, m0=0.5, sigma0=1.0):
         return (a * s * (1.0 - s) * (1.0 - 2.0 * s))[..., None, None]
 
     # sup|s'| = 1/4 dominates sup|s''| = 1/(6*sqrt(3)).
-    drift = DriftSpec(f=f, jac=jac, hess=hess, m_f=a / 4.0, dim=dim,
+    drift = DriftSpec(f=f, jac=jac, hess=hess, m_f=a / 4.0, dim=1,
                       name="scalar_logistic_bounded")
-    s_mat, lam = _resolve_sigma(sigma0, dim)
-    x0 = np.array([0.0]) if x0 is None else np.asarray(x0, dtype=float)
-    return ModelSpec(drift=drift, bounded_drift=_const_vector(_resolve_m0(m0, dim)),
-                     sigma=_const_matrix(s_mat), lambda_=lam, dim=dim,
-                     horizon=float(horizon), x0=x0, name="scalar_logistic_bounded")
+    return _model(drift, horizon, x0, m0, sigma0, 0.0)
 
 
 _BUILTINS = {

@@ -87,6 +87,25 @@ def test_inverse_product_route(swap_drift):
     assert np.abs(inverse_jacobian_product(bl, 64) - direct).max() <= INVERSE_PRODUCT_TOL
 
 
+def test_broken_line_evaluates_each_layer_once(swap_drift):
+    # The layer matrices are kept from the broken line's own pass; the
+    # products read them and evaluate no drift derivative again.
+    calls = []
+    jac = swap_drift.jac
+    swap_drift.jac = lambda t, x: calls.append(t) or jac(t, x)
+    p = make_partition(16, "geometric", T=1.0, c=1.0)
+    bl = broken_line(swap_drift, p, np.array([0.2, 0.6]))
+    assert calls == p.times[:-1].tolist()
+    for j in (0, 7, 15):
+        A = np.eye(2) + p.steps[j] * jac(p.times[j], bl.values[j][None])[0]
+        assert np.array_equal(bl.layers[j], A)
+    product_jacobian(bl, 16)
+    inverse_jacobian_product(bl, 16)
+    assert len(calls) == 16
+    assert np.array_equal(product_jacobian(bl, 0), np.eye(2))
+    assert np.array_equal(inverse_jacobian_product(bl, 0), np.eye(2))
+
+
 def test_gronwall_bound_both_partitions():
     model = builtin_model("sine", alpha=0.8, beta=1.3, dim=2)
     bound = np.sqrt(2) * np.exp(model.drift.m_f * model.horizon)

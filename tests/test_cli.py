@@ -226,10 +226,26 @@ def test_unknown_suite_name_exits_2(tmp_path):
     ('model="sine"', "model must be a JSON object"),
     ('suite="liouville"', "suite must be a list"),
     ("simulation.n_steps=[]", "simulation.n_steps must not be empty"),
+    ("transform.quad_nodes=1", "transform.quad_nodes must be >= 2"),
+    ("transform.inversion_tol=nan", "transform.inversion_tol must be finite and > 0"),
+    ("transform.inversion_tol=1e999", "transform.inversion_tol must be finite and > 0"),
+    ("transform.flow_tol=-1", "transform.flow_tol must be finite and > 0"),
+    ("transform.flow_tol=0", "transform.flow_tol must be finite and > 0"),
 ])
 def test_config_section_of_wrong_type_exits_2(tmp_path, capsys, expr, message):
     assert main(["verify", "--set", expr, "--out", str(tmp_path)]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["transform-sde", "transform-chain"])
+@pytest.mark.parametrize("expr", ["transform.quad_nodes=1",
+                                  "transform.inversion_tol=nan",
+                                  "transform.flow_tol=-1"])
+def test_bad_transform_setting_exits_2_before_any_work(tmp_path, capsys,
+                                                       command, expr):
+    assert main([command, "--set", expr, "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "config error: transform." in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_malformed_config_file_exits_2(tmp_path):

@@ -52,6 +52,22 @@ def test_scan_fails_when_bound_understated():
     assert not scan.checks["g_star_growth"].passed
 
 
+def test_scan_bounds_m_where_m_tilde_evaluates_it():
+    # m_tilde(t, y) uses m at g(t; 0, y).  With b = 1 the flow carries
+    # the box [-1, 3] up to e * 3, onto the bump of m at 6.8, which the
+    # box itself never reaches; the bound must come from the flowed points.
+    base = builtin_model("linear", b=1.0)
+    model = ModelSpec(drift=base.drift,
+                      bounded_drift=lambda t, x: np.exp(-(x - 6.8) ** 2),
+                      sigma=base.sigma, lambda_=base.lambda_, dim=1,
+                      horizon=1.0, x0=base.x0, name="bump")
+    scan = boundedness_scan(make_transform(model), n_samples=32, seed=0)
+    entry = scan.checks["m_tilde_bound"]
+    assert entry.passed and scan.passed
+    assert entry.measured <= entry.bound
+    assert entry.bound > 0.5
+
+
 def test_scan_matches_a_per_point_loop():
     # The scan makes one batched flow solve; a loop of single-point
     # solves is the reference, equal to the flow tolerance.

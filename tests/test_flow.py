@@ -159,6 +159,21 @@ def test_time_derivatives_match_fd(sine2_model):
             np.linalg.norm(d_fwd), 1e-12)
 
 
+def test_time_derivatives_from_a_nonzero_start_match_fd(sine2_model):
+    # t0 != 0: d_t_ginv needs the inverse flow to time 0 and a second jet.
+    drift = sine2_model.drift
+    t0, t = 0.3, 0.9
+    for x in sample_box(np.full(2, -1.0), np.full(2, 1.0), 4, seed=8):
+        d_fwd, d_inv = flow_time_derivatives(drift, t0, t, x)
+        fd_fwd = (advance_flow(drift, t0 + FD_STEP, t, x)
+                  - advance_flow(drift, t0 - FD_STEP, t, x)) / (2 * FD_STEP)
+        y = advance_flow(drift, t0, t, x)
+        fd_inv = (inverse_flow(drift, t + FD_STEP, y)
+                  - inverse_flow(drift, t - FD_STEP, y)) / (2 * FD_STEP)
+        for d, fd in ((d_fwd, fd_fwd), (d_inv, fd_inv)):
+            assert np.linalg.norm(fd - d) <= FD_RTOL * max(np.linalg.norm(d), 1e-12)
+
+
 def test_liouville_two_routes_agree(sine2_model):
     drift = sine2_model.drift
     ts, xs = sample_time_box((0.05, 1.0), np.full(2, -1.5), np.full(2, 1.5),

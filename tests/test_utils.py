@@ -1,4 +1,4 @@
-"""Noise blocks, quasi-random sampling, thread chunking, the
+"""Noise blocks, quasi-random sampling, the serial chunk loop, the
 embedded Runge-Kutta integrator, and the runtime's imports."""
 
 import os
@@ -108,13 +108,6 @@ def test_sample_time_box_accepts_scalar_bounds():
     assert np.array_equal(ts, ts_a) and np.array_equal(xs, xs_a)
 
 
-def test_path_chunks_cover_everything():
-    for n, w in [(10, 3), (1, 4), (7, 7), (100, 1)]:
-        chunks = parallel.path_chunks(n, w)
-        idx = np.concatenate([np.arange(s.start, s.stop) for s in chunks])
-        assert np.array_equal(idx, np.arange(n))
-
-
 def test_run_chunked_matches_serial(monkeypatch):
     monkeypatch.setenv(parallel.ENV_THREADS, "4")
     out = np.zeros(97)
@@ -125,11 +118,13 @@ def test_run_chunked_matches_serial(monkeypatch):
     assert_allclose(out, np.arange(97.0) ** 2)
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv(parallel.ENV_THREADS, "3")
-    assert parallel.worker_count() == 3
-    monkeypatch.delenv(parallel.ENV_THREADS)
-    assert parallel.worker_count() == 1
+def test_run_chunked_walks_blocks_in_order():
+    # The benchmark's tracer calls it as fn(work, n_items, workers, block).
+    seen = []
+    parallel.run_chunked(seen.append, 25, 2, 10)
+    assert seen == [slice(0, 10), slice(10, 20), slice(20, 25)]
+    parallel.run_chunked(seen.append, 0, None, None)
+    assert len(seen) == 3
 
 
 def test_rk_linear_vs_expm():
