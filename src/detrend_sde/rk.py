@@ -1,10 +1,14 @@
-"""Adaptive Dormand-Prince 5(4) integration on batched states.
+"""Adaptive DOP853 integration on batched states.
 
-One explicit scheme serves every flow computation in the package.  Each
-row of the state (its first axis) has its own end time; the batch steps
-on one adaptive grid, error-controlled by a scaled RMS over the rows
-still live, and rows retire at their end times as breakpoints of that
-grid (Hairer, Norsett and Wanner, Solving ODEs I, II.6).
+One explicit scheme serves every flow computation in the package: the
+8th-order Dormand-Prince pair of Hairer, with its combined 5th/3rd-order
+error estimate and an I step controller (Hairer, Norsett and Wanner,
+Solving ODEs I, II.5 and II.10).  Each row of the state (its first
+axis) has its own end time; the batch steps on one adaptive grid,
+error-controlled over the rows still live, and rows retire at their end
+times as breakpoints of that grid (ibid., II.6).  The last stage of an
+accepted step is the first stage of the next (FSAL); it is evaluated
+after the rows ending at that step have retired.
 """
 
 from __future__ import annotations
@@ -13,20 +17,49 @@ import numpy as np
 
 from .errors import FlowIntegrationError
 
-# Dormand-Prince 5(4) tableau, FSAL.
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+# DOP853 tableau, with the doubles of Hairer's dop853.f.  _C[i] is the
+# node of stage i; _A[i - 1] holds the nonzero (j, a_ij) of stage i for
+# i = 1..11, and _B the nonzero (j, b_j), which also form the FSAL stage.
+_C = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+      0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+      0.6512820512820513, 0.6, 0.8571428571428571, 1.0)
 _A = (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    ((0, 0.05260015195876773),),
+    ((0, 0.0197250569845379), (1, 0.0591751709536137)),
+    ((0, 0.02958758547680685), (2, 0.08876275643042054)),
+    ((0, 0.2413651341592667), (2, -0.8845494793282861), (3, 0.924834003261792)),
+    ((0, 0.037037037037037035), (3, 0.17082860872947386),
+     (4, 0.12546768756682242)),
+    ((0, 0.037109375), (3, 0.17025221101954405), (4, 0.06021653898045596),
+     (5, -0.017578125)),
+    ((0, 0.03709200011850479), (3, 0.17038392571223998),
+     (4, 0.10726203044637328), (5, -0.015319437748624402),
+     (6, 0.008273789163814023)),
+    ((0, 0.6241109587160757), (3, -3.3608926294469414), (4, -0.868219346841726),
+     (5, 27.59209969944671), (6, 20.154067550477894), (7, -43.48988418106996)),
+    ((0, 0.47766253643826434), (3, -2.4881146199716677), (4, -0.590290826836843),
+     (5, 21.230051448181193), (6, 15.279233632882423), (7, -33.28821096898486),
+     (8, -0.020331201708508627)),
+    ((0, -0.9371424300859873), (3, 5.186372428844064), (4, 1.0914373489967295),
+     (5, -8.149787010746927), (6, -18.52006565999696), (7, 22.739487099350505),
+     (8, 2.4936055526796523), (9, -3.0467644718982196)),
+    ((0, 2.273310147516538), (3, -10.53449546673725), (4, -2.0008720582248625),
+     (5, -17.9589318631188), (6, 27.94888452941996), (7, -2.8589982771350235),
+     (8, -8.87285693353063), (9, 12.360567175794303), (10, 0.6433927460157636)),
 )
-# y5 - y4 expansion coefficients over the seven stages.
-_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+_B = ((0, 0.054293734116568765), (5, 4.450312892752409), (6, 1.8915178993145003),
+      (7, -5.801203960010585), (8, 0.3111643669578199), (9, -0.1521609496625161),
+      (10, 0.20136540080403034), (11, 0.04471061572777259))
+# The 8th-order solution minus its 5th- and 3rd-order companions.
+_E5 = ((0, 0.01312004499419488), (5, -1.2251564463762044),
+       (6, -0.4957589496572502), (7, 1.6643771824549864),
+       (8, -0.35032884874997366), (9, 0.3341791187130175),
+       (10, 0.08192320648511571), (11, -0.022355307863886294))
+_E3 = ((0, -0.18980075407240762), (5, 4.450312892752409), (6, 1.8915178993145003),
+       (7, -5.801203960010585), (8, -0.4226823213237919), (9, -0.1521609496625161),
+       (10, 0.20136540080403034), (11, 0.02265179219836082))
 
-_ORDER = 5
+_EXPONENT = 1 / 8  # 1 / (q + 1) for the order q = 7 of the error estimate
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
@@ -36,20 +69,27 @@ def _rms(v: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.square(v))))
 
 
+def _weighted(row, ks) -> np.ndarray:
+    """sum_j a_j k_j over the (j, a_j) of row, elementwise and in order."""
+    (j, a), *rest = row
+    s = a * ks[j]
+    for j, a in rest:
+        s += a * ks[j]
+    return s
+
+
 def _stages(rhs, t: float, y: np.ndarray, h: float, k1: np.ndarray):
-    k2 = rhs(t + _C2 * h, y + h * (_A[0][0] * k1))
-    k3 = rhs(t + _C3 * h, y + h * (_A[1][0] * k1 + _A[1][1] * k2))
-    k4 = rhs(t + _C4 * h, y + h * (_A[2][0] * k1 + _A[2][1] * k2 + _A[2][2] * k3))
-    k5 = rhs(t + _C5 * h, y + h * (_A[3][0] * k1 + _A[3][1] * k2 + _A[3][2] * k3
-                                   + _A[3][3] * k4))
-    k6 = rhs(t + h, y + h * (_A[4][0] * k1 + _A[4][1] * k2 + _A[4][2] * k3
-                             + _A[4][3] * k4 + _A[4][4] * k5))
-    y_new = y + h * (_A[5][0] * k1 + _A[5][2] * k3 + _A[5][3] * k4
-                     + _A[5][4] * k5 + _A[5][5] * k6)
-    k7 = rhs(t + h, y_new)
-    err = h * (_E[0] * k1 + _E[2] * k3 + _E[3] * k4 + _E[4] * k5
-               + _E[5] * k6 + _E[6] * k7)
-    return y_new, k7, err
+    """One step from (t, y): the new state and the two error estimates."""
+    ks = [k1]
+    for c, row in zip(_C[1:], _A):
+        ks.append(rhs(t + c * h, y + h * _weighted(row, ks)))
+    return y + h * _weighted(_B, ks), _weighted(_E5, ks), _weighted(_E3, ks)
+
+
+def _factor(err_norm: float) -> float:
+    """Step-size ratio of the I controller."""
+    return min(_MAX_FACTOR,
+               max(_MIN_FACTOR, _SAFETY * max(err_norm, 1e-10) ** -_EXPONENT))
 
 
 def _initial_step(rhs, t0: float, y0: np.ndarray, f0: np.ndarray,
@@ -65,7 +105,7 @@ def _initial_step(rhs, t0: float, y0: np.ndarray, f0: np.ndarray,
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** (1.0 / _ORDER)
+        h1 = (0.01 / max(d1, d2)) ** _EXPONENT
     return min(100 * h0, h1, span)
 
 
@@ -76,8 +116,8 @@ def integrate(rhs, t0: float, t1, y0: np.ndarray, rtol: float = 1e-10,
     t1 is a scalar or one end time per row of y0, all on one side of t0.
     Returns each row at its own end time, with the shape of y0.  Raises
     ValueError for end times that are not finite or lie on both sides
-    of t0, and FlowIntegrationError on step-size underflow or
-    step-count overflow, carrying the last time reached.
+    of t0, and FlowIntegrationError on a non-finite state, step-size
+    underflow or step-count overflow, carrying the last time reached.
     """
     y0 = np.asarray(y0, dtype=float)
     ends = np.full(y0.shape[:1], t1, dtype=float)
@@ -88,43 +128,42 @@ def integrate(rhs, t0: float, t1, y0: np.ndarray, rtol: float = 1e-10,
     order = np.argsort(direction * ends, kind="stable")
     keys = direction * ends[order]
     out = np.empty_like(y0)
-    y, t, t_next, done, k1 = y0[order], t0, t0, 0, None
-    err_prev = 1e-4
+    y, t, t_next, done, k1, h = y0[order], t0, t0, 0, None, None
     tiny = 16 * np.finfo(float).eps
 
     for _ in range(max_steps):
         if t == t_next:  # a breakpoint: the rows ending here retire
             n = int(np.searchsorted(keys, direction * t + tiny * max(1.0, abs(t))))
             out[order[done:n]], y = y[:n - done], y[n - done:]
-            k1 = None if k1 is None else k1[n - done:]
             done = n
             if done == keys.size:
                 return out
             t_next = direction * float(keys[done])
         if k1 is None:
             k1 = rhs(t, y)
+        if h is None:
             h = _initial_step(rhs, t0, y, k1, direction,
                               abs(direction * float(keys[-1]) - t0), rtol, atol)
         h_step = min(h, abs(t_next - t))
         if h_step < tiny * max(1.0, abs(t)):
             raise FlowIntegrationError(
                 f"step size underflow at t={t!r}", t_reached=t)
-        y_new, k7, err = _stages(rhs, t, y, direction * h_step, k1)
+        y_new, e5, e3 = _stages(rhs, t, y, direction * h_step, k1)
         if not np.all(np.isfinite(y_new)):
             raise FlowIntegrationError(
                 f"non-finite state at t={t!r}", t_reached=t)
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err_norm = _rms(err / scale)
+        s5 = float(np.sum(np.square(e5 / scale)))
+        s3 = float(np.sum(np.square(e3 / scale)))
+        err_norm = 0.0 if s5 == 0.0 else \
+            h_step * s5 / np.sqrt(y.size * (s5 + 0.01 * s3))
         if err_norm <= 1.0:
             t = t_next if abs(t + direction * h_step - t_next) \
                 < tiny * max(1.0, abs(t_next)) else t + direction * h_step
-            y, k1 = y_new, k7
-            base = max(err_norm, 1e-10)
-            factor = _SAFETY * base ** (-0.7 / _ORDER) * err_prev ** (0.4 / _ORDER)
-            grown = h_step * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+            y, k1 = y_new, None
+            grown = h_step * _factor(err_norm)
             # A step cut short at a breakpoint does not shrink the next one.
             h = max(h, grown) if h_step < h else grown
-            err_prev = base
         else:
-            h = h_step * max(_MIN_FACTOR, _SAFETY * err_norm ** (-1.0 / _ORDER))
+            h = h_step * _factor(err_norm)
     raise FlowIntegrationError(f"step budget exhausted at t={t!r}", t_reached=t)

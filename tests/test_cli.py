@@ -166,9 +166,13 @@ def test_verify_assumption_failure_exits_3(tmp_path):
     assert report["passed"] is False
 
 
-def test_verify_numeric_failure_exits_4(tmp_path):
-    code = main(["verify", "--set", "transform.flow_tol=0.01",
-                 "--set", 'suite=["assumptions","flow_roundtrip"]',
+def test_verify_numeric_failure_exits_4(tmp_path, monkeypatch):
+    # Even a loose flow_tol keeps the sine round trip inside its 1e-7
+    # gate, so the inverse flow is made to miss by 1e-6.
+    inverse_flow = cli.inverse_flow
+    monkeypatch.setattr(cli, "inverse_flow",
+                        lambda *args: inverse_flow(*args) + 1e-6)
+    code = main(["verify", "--set", 'suite=["assumptions","flow_roundtrip"]',
                  "--out", str(tmp_path)])
     assert code == EXIT_NUMERICAL
 

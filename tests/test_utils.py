@@ -1,6 +1,7 @@
 """Noise blocks, quasi-random sampling, the serial chunk loop, the
 embedded Runge-Kutta integrator, and the runtime's imports."""
 
+import math
 import os
 import subprocess
 import sys
@@ -125,6 +126,22 @@ def test_run_chunked_walks_blocks_in_order():
     assert seen == [slice(0, 10), slice(10, 20), slice(20, 25)]
     parallel.run_chunked(seen.append, 0, None, None)
     assert len(seen) == 3
+
+
+def test_rk_tableau_order_conditions():
+    # A mistyped coefficient would hide inside the solve tolerance of
+    # every other test; the order conditions catch it.  Rows of A carry
+    # the rounding of coefficients up to 43, hence the scaled bound.
+    for c, row in zip(rk._C[1:], rk._A):
+        a = [a for _, a in row]
+        assert abs(math.fsum(a) - c) <= 1e-15 * max(1.0, math.fsum(map(abs, a)))
+    b = [(rk._C[j], w) for j, w in rk._B]
+    for k in range(8):
+        assert abs(math.fsum(w * c ** k for c, w in b) - 1 / (k + 1)) <= 1e-15
+    # Eighth order, not ninth.
+    assert abs(math.fsum(w * c ** 8 for c, w in b) - 1 / 9) > 1e-6
+    for e in (rk._E5, rk._E3):
+        assert abs(math.fsum(w for _, w in e)) <= 1e-15
 
 
 def test_rk_linear_vs_expm():
