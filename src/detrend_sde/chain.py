@@ -22,6 +22,9 @@ depend on the realized innovation.  The u-integral is Gauss-Legendre;
 the integrand at each node is the inverse Jacobian evaluated via the
 product form at the inverted base point.  For linear fields the
 integrand is constant in u and the identity is exact for any node count.
+The node count is chosen per path and step: a first pass at half the
+rule, and the full rule only where the Legendre tail of the first
+pass's node values says it is needed.
 
 The broken line is inverted one way only, by a backward sweep over the
 layers, batched over rows but converging row by row: each row has
@@ -29,9 +32,11 @@ its own tolerance, damping and stopping test, and a converged row is
 frozen while the others iterate.  A row's result therefore does not
 depend on which rows share its batch, so transform_chain inverts
 fixed blocks of paths one after another: the block size bounds the
-working set and peak memory but does not change the output bits.
-invert_broken_line runs the same sweep on one point and checks the
-composite residual relative to |y|, as the layers check theirs.
+working set and peak memory but does not change the output bits.  For
+the same reason rows of two adjacent levels can share a sweep, the
+lower ones joining at their own top layer.  invert_broken_line runs
+the same sweep on one point and checks the composite residual relative
+to |y|, as the layers check theirs.
 """
 
 from __future__ import annotations
@@ -50,10 +55,11 @@ from .transform import _simulate_paths
 DEFAULT_INVERSION_TOL = 1e-12
 DEFAULT_QUAD_NODES = 16
 _NEWTON_CAP = 100
-# Paths per layer-inversion batch in transform_chain (each path brings
-# quad_nodes + 1 rows).  It bounds the working set: with 10^4 paths one
-# batch of all of them ran 2.8x slower than 256-path blocks (64 to
-# 1024 tried, sine d=2, 16 nodes).
+# Paths per layer-inversion batch in transform_chain.  Each path brings
+# its first-pass node rows and its state row, plus quad_nodes rows if its
+# previous step was refined.  The block size bounds the working set:
+# with 10^4 paths one batch of all of them ran 2.8x slower than 256-path
+# blocks (64 to 1024 tried, sine d=2, 16 nodes in one pass).
 _PATHS_PER_SOLVE = 256
 
 
@@ -179,29 +185,31 @@ def solve_small(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
     A has shape (..., d, d); B is (..., d) or (..., d, m) with the same
     leading shape.  For d <= 2 the solve is in closed form (Cramer's
-    rule, one right-hand column at a time so the arithmetic runs along
-    the batch); on a thousand 2x2 systems that is over 10x faster than
-    LAPACK, which solves d > 2.  Each system's result depends on that
-    system alone.  A singular closed-form system yields inf or NaN
-    instead of raising.
+    rule, elementwise so the arithmetic runs along the batch, with one
+    determinant per system shared by all right-hand columns); on a
+    thousand 2x2 systems that is over 10x faster than LAPACK, which
+    solves d > 2.  Each system's result depends on that system alone,
+    and each column's bits equal those of its own vector solve.  A
+    singular closed-form system yields inf or NaN instead of raising.
     """
     d = A.shape[-1]
+    matrix = B.ndim == A.ndim
     if d > 2:
-        return np.linalg.solve(A, B) if B.ndim == A.ndim \
+        return np.linalg.solve(A, B) if matrix \
             else np.linalg.solve(A, B[..., None])[..., 0]
-    if B.ndim == A.ndim:
-        X = np.empty(B.shape)
-        for i in range(B.shape[-1]):
-            X[..., i] = solve_small(A, B[..., i])
-        return X
     if d == 1:
-        return B / A[..., 0]
+        return B / A if matrix else B / A[..., 0]
     a, b, c, e = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
-    B0, B1 = B[..., 0], B[..., 1]
     det = a * e - b * c
     X = np.empty(B.shape)
-    np.divide(e * B0 - b * B1, det, out=X[..., 0])
-    np.divide(a * B1 - c * B0, det, out=X[..., 1])
+    # One column at a time: an operation across the columns would run
+    # numpy's inner loop along the short column axis, not the batch.
+    cols = [(X[..., i], B[..., i]) for i in range(B.shape[-1])] \
+        if matrix else [(X, B)]
+    for Xc, Bc in cols:
+        B0, B1 = Bc[..., 0], Bc[..., 1]
+        np.divide(e * B0 - b * B1, det, out=Xc[..., 0])
+        np.divide(a * B1 - c * B0, det, out=Xc[..., 1])
     return X
 
 
@@ -275,25 +283,41 @@ def _solve_layer(drift: DriftSpec, j: int, t: float, h: float,
         residual=rmax)
 
 
-def _invert_layers_batch(drift: DriftSpec, partition: Partition, k: int,
+def _invert_layers_batch(drift: DriftSpec, partition: Partition, levels,
                          ys: np.ndarray, tol: float,
                          want_jacobian: bool = False):
     """Solve gh(t_k; 0, x) = y for a batch of y, walking layers backward.
 
-    Each layer is solved row by row (_solve_layer), contractive under
-    the step-size precondition; a singular or diverging layer raises
-    InversionError instead of passing as converged.  When requested,
-    the Jacobian of the inverse map at y is accumulated alongside as
-    the ordered product of layer inverses evaluated on the very layer
-    values the sweep produces.
+    levels is the level k of every row, or one level per row in
+    non-increasing order: a row at a lower level k joins the sweep at
+    its own top layer k - 1, so rows from several levels share one
+    pass over their common layers.  Each layer is solved row by row
+    (_solve_layer), contractive under the step-size precondition; a
+    singular or diverging layer raises InversionError instead of
+    passing as converged.  When requested, the Jacobian of the inverse
+    map at y is accumulated alongside as the ordered product of layer
+    inverses evaluated on the very layer values the sweep produces.
+    Lower levels are at least 1.
     """
     d = drift.dim
     v = np.array(ys, dtype=float)
     eye = np.eye(d)
+    joins = {}
+    if np.ndim(levels):
+        # Each lower level's rows [a, b) join at its top layer.
+        cuts = [*(np.flatnonzero(np.diff(levels)) + 1).tolist(), len(levels)]
+        joins = {int(levels[a]) - 1: b for a, b in zip(cuts, cuts[1:])}
+        v_all, v = v, v[:cuts[0]]
+        levels = int(levels[0])
     Q = np.broadcast_to(eye, v.shape + (d,)).copy() if want_jacobian else None
     floor = max(1e-14, 1e-3 * tol)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for j in range(k - 1, -1, -1):
+        for j in range(levels - 1, -1, -1):
+            if j in joins:
+                new = v_all[v.shape[0]:joins[j]]
+                v = np.concatenate([v, new])
+                if want_jacobian:
+                    Q = np.concatenate([Q, np.broadcast_to(eye, new.shape + (d,))])
             h = partition.steps[j]
             t = partition.times[j]
             v = _solve_layer(drift, j, t, h, v, floor, eye)
@@ -372,8 +396,9 @@ def simulate_chain(model: ModelSpec, partition: Partition, n_paths: int,
 
 @dataclass
 class TransformedChainRun:
-    """Detrended chain states with per-step coefficients and the
-    residuals of the exactness checks."""
+    """Detrended chain states with per-step coefficients, the residuals
+    of the exactness checks, and the path-steps whose first quadrature
+    pass failed its error estimate (refined, shape (paths, n))."""
 
     partition: Partition
     states: np.ndarray
@@ -384,6 +409,7 @@ class TransformedChainRun:
     seed: int
     quad_nodes: int
     flagged: np.ndarray
+    refined: np.ndarray
     source: ChainRun
 
 
@@ -392,16 +418,38 @@ def _gauss_legendre_01(q: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
+def _legendre_tail(q: int) -> np.ndarray:
+    """Rows taking the values at q Gauss-Legendre nodes to the Legendre
+    coefficients a_n = (2n+1)/2 sum_i w_i P_n(x_i) f(x_i) of degrees
+    q - 2 and q - 1, the tail of the node interpolant (Trefethen,
+    Approximation Theory and Approximation Practice, ch. 19)."""
+    x, w = np.polynomial.legendre.leggauss(q)
+    deg = np.array([q - 2, q - 1])
+    vals = np.polynomial.legendre.legvander(x, q - 1)[:, deg].T
+    return (deg + 0.5)[:, None] * w * vals
+
+
 def transform_chain(model: ModelSpec, partition: Partition, run: ChainRun,
                     quad_nodes: int = DEFAULT_QUAD_NODES,
                     inversion_tol: float = DEFAULT_INVERSION_TOL) -> TransformedChainRun:
     """Detrend a simulated chain.
 
     For each step the inverse broken-line map at level k+1 is evaluated
-    at the chain state (giving Xt) and at the Gauss-Legendre nodes on
-    the prediction segment (giving the averaged inverse Jacobian that
-    multiplies m and sigma).  Stores per-step residuals of the one-step
-    identity and of the forward reconstruction gh(t_k; 0, Xt_k) = X_k.
+    at the chain state (giving Xt) and at Gauss-Legendre nodes on the
+    prediction segment (giving Qbar, the averaged inverse Jacobian that
+    multiplies m and sigma).  quad_nodes is the rule a path-step gets
+    when it needs it.  From 16 nodes up, every path-step first gets
+    quad_nodes // 2 nodes, and is refined to quad_nodes when its error
+    estimate fails: the largest of the two top Legendre coefficients
+    over every entry of Q, squared, exceeds inversion_tol, or the
+    one-step identity along the increment misses inversion_tol
+    (1 + |X_{k+1}|_inf).  Step k's refinement rows join step k+1's
+    sweep at their own level; the last step's get a sweep of their
+    own.  Below 16 nodes every path-step gets one pass at quad_nodes.
+    A path-step's node count and bits depend on that path alone, and
+    the states come from the state rows of the first pass.  Stores
+    per-step residuals of the one-step identity and of the forward
+    reconstruction gh(t_k; 0, Xt_k) = X_k.
     """
     if quad_nodes < 2:
         raise ValueError("quad_nodes must be >= 2")
@@ -414,8 +462,11 @@ def transform_chain(model: ModelSpec, partition: Partition, run: ChainRun,
     d = model.dim
     n = partition.n
     P = run.states.shape[0]
-    u_nodes, u_weights = _gauss_legendre_01(quad_nodes)
     q = quad_nodes
+    q1 = q // 2 if q // 2 >= 8 else q
+    u1, w1 = _gauss_legendre_01(q1)
+    u, w = _gauss_legendre_01(q)
+    tail_rows = _legendre_tail(q1)
 
     states = np.empty((P, n + 1, d))
     m_co = np.empty((P, n, d))
@@ -425,48 +476,87 @@ def transform_chain(model: ModelSpec, partition: Partition, run: ChainRun,
     states[:, 0] = run.states[:, 0]
     x0 = run.states[:, 0]
     flagged = run.flagged.copy()
+    refined = np.zeros((P, n), dtype=bool)
 
     X = run.states
     eps = run.innovations
     safe = lambda arr: np.where(flagged[:, None], x0, arr)
-    for k in range(n):
+
+    def finish(k, Qbar):
         t_k = partition.times[k]
         h = partition.steps[k]
         xk = safe(X[:, k])
-        xk1 = safe(X[:, k + 1])
-        fk = np.asarray(drift.f(t_k, xk))
-        base = xk + h * fk
-        delta = xk1 - base
-        pts = base[None, :, :] + u_nodes[:, None, None] * delta[None, :, :]
-        Qbar = np.empty((P, d, d))
-        xt_next = np.empty((P, d))
-        for lo in range(0, P, _PATHS_PER_SOLVE):
-            sl = slice(lo, min(lo + _PATHS_PER_SOLVE, P))
-            p = sl.stop - lo
-            batch = np.concatenate([pts[:, sl].reshape(q * p, d), xk1[sl]])
-            inv, Q = _invert_layers_batch(drift, partition, k + 1, batch,
-                                          inversion_tol, want_jacobian=True)
-            Qbar[sl] = np.einsum("u,upij->pij", u_weights,
-                                 Q[:q * p].reshape(q, p, d, d))
-            xt_next[sl] = inv[q * p:]
         mk = np.asarray(model.bounded_drift(t_k, xk))
         sk = np.asarray(model.sigma(t_k, xk))
         m_co[:, k] = np.einsum("pij,pj->pi", Qbar, mk)
         s_co[:, k] = Qbar @ sk
-        states[:, k + 1] = np.where(flagged[:, None], np.nan, xt_next)
-        r = xt_next - safe(states[:, k]) - h * m_co[:, k] \
+        r = safe(states[:, k + 1]) - safe(states[:, k]) - h * m_co[:, k] \
             - np.sqrt(h) * np.einsum("pij,pj->pi", s_co[:, k], eps[:, k])
         resid_id[:, k] = np.where(flagged, np.nan, np.linalg.norm(r, axis=1))
+
+    # Paths of the previous step to refine, and their full-rule nodes.
+    fine_idx = np.zeros(0, dtype=int)
+    fine_pts = np.zeros((q, 0, d))
+    for k in range(n + 1):
+        if k < n:
+            t_k = partition.times[k]
+            h = partition.steps[k]
+            xk = safe(X[:, k])
+            xk1 = safe(X[:, k + 1])
+            base = xk + h * np.asarray(drift.f(t_k, xk))
+            delta = xk1 - base
+            pts = base[None, :, :] + u1[:, None, None] * delta[None, :, :]
+            Qbar = np.empty((P, d, d))
+            xt_next = np.empty((P, d))
+            tail = np.empty(P)
+        for lo in range(0, P, _PATHS_PER_SOLVE):
+            sl = slice(lo, min(lo + _PATHS_PER_SOLVE, P))
+            p = sl.stop - lo if k < n else 0
+            a, b = np.searchsorted(fine_idx, [sl.start, sl.stop])
+            if not p and a == b:
+                continue
+            rows = [pts[:, sl].reshape(q1 * p, d), xk1[sl]] if p else []
+            rows.append(fine_pts[:, a:b].reshape(q * (b - a), d))
+            levels = np.repeat([k + 1, k], [(q1 + 1) * p, q * (b - a)])
+            inv, Q = _invert_layers_batch(drift, partition, levels,
+                                          np.concatenate(rows), inversion_tol,
+                                          want_jacobian=True)
+            if p:
+                Qn = Q[:q1 * p].reshape(q1, p, d, d)
+                Qbar[sl] = np.einsum("u,upij->pij", w1, Qn)
+                if q1 < q:
+                    tail[sl] = np.abs(np.einsum("nu,upij->npij", tail_rows, Qn)
+                                      ).max(axis=(0, 2, 3))
+                xt_next[sl] = inv[q1 * p:(q1 + 1) * p]
+            if b > a:
+                Qbar_prev[fine_idx[a:b]] = np.einsum(
+                    "u,upij->pij", w, Q[(q1 + 1) * p:].reshape(q, b - a, d, d))
+        if k:
+            finish(k - 1, Qbar_prev)
+        if k == n:
+            break
+        states[:, k + 1] = np.where(flagged[:, None], np.nan, xt_next)
         rec = _forward_values(drift, partition, k + 1, xt_next) - xk1
         resid_rec[:, k + 1] = np.where(flagged, np.nan,
                                        np.linalg.norm(rec, axis=1))
+        if q1 < q:
+            gap = xt_next - safe(states[:, k]) \
+                - np.einsum("pij,pj->pi", Qbar, delta)
+            refined[:, k] = ~flagged & (
+                (tail * tail > inversion_tol)
+                | (_row_max(np.abs(gap))
+                   > inversion_tol * (1.0 + _row_max(np.abs(xk1)))))
+            fine_idx = np.flatnonzero(refined[:, k])
+            fine_pts = base[fine_idx][None] \
+                + u[:, None, None] * delta[fine_idx][None]
+        Qbar_prev = Qbar
 
     return TransformedChainRun(partition=partition, states=states,
                                m_coeffs=m_co, sigma_coeffs=s_co,
                                identity_residuals=resid_id,
                                reconstruction_residuals=resid_rec,
                                seed=run.seed, quad_nodes=quad_nodes,
-                               flagged=flagged, source=run)
+                               flagged=flagged, refined=refined, source=run)
 
 
 def jacobian_limit_check(drift: DriftSpec, x: np.ndarray, t: float,

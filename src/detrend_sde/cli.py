@@ -381,6 +381,7 @@ def cmd_transform_chain(cfg: ExperimentConfig) -> int:
         "n_paths": cfg.simulation.n_paths,
         "seed": cfg.simulation.seed,
         "quad_nodes": cfg.transform.quad_nodes,
+        "quad_refined": int(tr.refined.sum()),
         "flagged": int(tr.flagged.sum()),
         "reconstruction_max": recon,
         "identity_residual_max": ident,

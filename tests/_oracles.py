@@ -127,6 +127,48 @@ def sine_fields(alpha, beta):
     return f, jac, hess
 
 
+def fixed_rule_chain(model, partition, run, invert, q=16, tol=1e-12,
+                     paths_per_solve=256):
+    """Detrended states and coefficients with every path-step on one
+    q-node Gauss-Legendre rule: the per-step loop the adaptive
+    transform_chain replaced, kept as its reference.  invert(levels,
+    ys, tol) is the library's layered sweep returning (x, Q), passed in
+    so that the states can be compared bit for bit.
+
+    Returns (states, m_coeffs, sigma_coeffs), NaN states on flagged paths.
+    """
+    d = model.dim
+    n = partition.n
+    P = run.states.shape[0]
+    x, wx = np.polynomial.legendre.leggauss(q)
+    u, w = 0.5 * (x + 1.0), 0.5 * wx
+    states = np.empty((P, n + 1, d))
+    m_co = np.empty((P, n, d))
+    s_co = np.empty((P, n, d, d))
+    states[:, 0] = run.states[:, 0]
+    x0 = run.states[:, 0]
+    safe = lambda arr: np.where(run.flagged[:, None], x0, arr)
+    for k in range(n):
+        t_k, h = partition.times[k], partition.steps[k]
+        xk, xk1 = safe(run.states[:, k]), safe(run.states[:, k + 1])
+        base = xk + h * np.asarray(model.drift.f(t_k, xk))
+        pts = base[None] + u[:, None, None] * (xk1 - base)[None]
+        Qbar = np.empty((P, d, d))
+        xt_next = np.empty((P, d))
+        for lo in range(0, P, paths_per_solve):
+            sl = slice(lo, min(lo + paths_per_solve, P))
+            p = sl.stop - lo
+            inv, Q = invert(k + 1, np.concatenate([pts[:, sl].reshape(q * p, d),
+                                                   xk1[sl]]), tol)
+            Qbar[sl] = np.einsum("u,upij->pij", w, Q[:q * p].reshape(q, p, d, d))
+            xt_next[sl] = inv[q * p:]
+        m_co[:, k] = np.einsum("pij,pj->pi", Qbar,
+                               np.asarray(model.bounded_drift(t_k, xk)))
+        s_co[:, k] = Qbar @ np.asarray(model.sigma(t_k, xk))
+        states[:, k + 1] = np.where(run.flagged[:, None], np.nan, xt_next)
+    return states, m_co, s_co
+
+
 def frozen_values():
     out = {}
 

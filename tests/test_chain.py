@@ -13,6 +13,7 @@ from detrend_sde import (InversionError, builtin_model, broken_line,
                          simulate_original, transform_chain)
 from detrend_sde import chain
 from detrend_sde.chain import ChainRun, solve_small
+from tests._oracles import fixed_rule_chain
 from tests.conftest import make_swap_drift
 
 TELESCOPE_TOL = 1e-12
@@ -183,6 +184,49 @@ def test_default_quadrature_passes_identity_gate(seed):
     assert tr.identity_residuals.max() <= 1e-9
 
 
+def _benchmark_chain(seed):
+    # The chain-detrend benchmark configuration.
+    model = builtin_model("sine", alpha=0.8, beta=1.3, dim=2)
+    p = make_partition(32, "geometric", T=model.horizon, c=1.0)
+    return model, p, simulate_chain(model, p, 128, seed)
+
+
+def test_adaptive_quadrature_matches_fixed_rule():
+    # The first pass at 8 nodes, refined to 16 where the estimate
+    # fails, against every path-step on the 16-node rule: the states
+    # come from the same state rows, so they keep their bits, and the
+    # coefficients differ by the quadrature error the estimate admits.
+    refined = 0
+    for seed in range(10):
+        model, p, run = _benchmark_chain(seed)
+        tr = transform_chain(model, p, run)
+        invert = lambda lv, ys, tol: chain._invert_layers_batch(
+            model.drift, p, lv, ys, tol, want_jacobian=True)
+        states, m_co, s_co = fixed_rule_chain(model, p, run, invert)
+        assert np.array_equal(tr.states, states, equal_nan=True), seed
+        for got, ref in ((tr.m_coeffs, m_co), (tr.sigma_coeffs, s_co)):
+            assert np.all(np.abs(got - ref) <= 1e-13 * (1.0 + np.abs(ref))), seed
+        assert tr.identity_residuals.max() <= 1e-9
+        refined += int(tr.refined.sum())
+    assert 0 < refined
+
+
+def test_adaptive_quadrature_inverts_about_ten_rows_per_path_step(monkeypatch):
+    # 9 first-pass rows per path-step plus 16 on the few refined ones;
+    # a fixed 16-node rule inverts 17.
+    rows = []
+    sweep = chain._invert_layers_batch
+
+    def counting(drift, partition, levels, ys, tol, want_jacobian=False):
+        rows.append(len(ys))
+        return sweep(drift, partition, levels, ys, tol, want_jacobian)
+    monkeypatch.setattr(chain, "_invert_layers_batch", counting)
+    model, p, run = _benchmark_chain(8)
+    tr = transform_chain(model, p, run)
+    assert sum(rows) == 9 * 128 * p.n + 16 * int(tr.refined.sum())
+    assert 9 < sum(rows) / (128 * p.n) <= 11
+
+
 def test_linear_chain_coefficients_closed_form():
     # With linear trend the averaged inverse Jacobian is u-independent:
     # m_t(k) = prod_{j<=k}(1 + h_j b)^{-1} m, same for sigma, and the
@@ -191,12 +235,15 @@ def test_linear_chain_coefficients_closed_form():
     model = builtin_model("linear", b=b, m0=m0, sigma0=s0)
     p = make_partition(32, "geometric", T=1.0, c=0.7)
     run = simulate_chain(model, p, 6, seed=2)
-    tr = transform_chain(model, p, run, quad_nodes=2)
     factors = np.cumprod(1.0 + b * p.steps)
-    assert np.abs(tr.m_coeffs[:, :, 0] - m0 / factors).max() <= LINEAR_COEFF_TOL
-    assert np.abs(tr.sigma_coeffs[:, :, 0, 0] - s0 / factors).max() <= LINEAR_COEFF_TOL
-    assert np.nanmax(tr.identity_residuals) <= 1e-12
-    assert np.nanmax(tr.reconstruction_residuals) <= 1e-10
+    # The default rule's first pass already sees a constant integrand.
+    for q in (2, chain.DEFAULT_QUAD_NODES):
+        tr = transform_chain(model, p, run, quad_nodes=q)
+        assert not tr.refined.any()
+        assert np.abs(tr.m_coeffs[:, :, 0] - m0 / factors).max() <= LINEAR_COEFF_TOL
+        assert np.abs(tr.sigma_coeffs[:, :, 0, 0] - s0 / factors).max() <= LINEAR_COEFF_TOL
+        assert np.nanmax(tr.identity_residuals) <= 1e-12
+        assert np.nanmax(tr.reconstruction_residuals) <= 1e-10
 
 
 def test_identity_residual_decreases_with_quadrature(sine2_model):
@@ -224,6 +271,7 @@ def test_zero_drift_chain_transform_is_identity():
     p = make_partition(16, "uniform", T=1.0)
     run = simulate_chain(model, p, 4, seed=9)
     tr = transform_chain(model, p, run)
+    assert not tr.refined.any()
     assert_allclose(tr.states, run.states, atol=1e-13)
     assert np.nanmax(tr.identity_residuals) <= 1e-13
 
@@ -267,6 +315,8 @@ def test_chain_path_subset_bitwise(sine2_model, monkeypatch):
     run = simulate_chain(sine2_model, p, 24, seed=1)
     full = transform_chain(sine2_model, p, run)
     idx = np.array([17, 0, 5])
+    # The subset covers the refinement rows that join the next sweep.
+    assert full.refined[idx].any()
     sub_run = ChainRun(partition=p, states=run.states[idx],
                        innovations=run.innovations[idx], seed=run.seed,
                        flagged=run.flagged[idx])
@@ -274,7 +324,7 @@ def test_chain_path_subset_bitwise(sine2_model, monkeypatch):
     monkeypatch.setattr(chain, "_PATHS_PER_SOLVE", 5)
     blocked = transform_chain(sine2_model, p, run)
     for name in ("states", "m_coeffs", "sigma_coeffs", "identity_residuals",
-                 "reconstruction_residuals"):
+                 "reconstruction_residuals", "refined"):
         assert np.array_equal(getattr(sub, name), getattr(full, name)[idx]), name
         assert np.array_equal(getattr(blocked, name), getattr(full, name)), name
 
@@ -293,6 +343,12 @@ def test_solve_small_matches_lapack(d, batch):
     # No batch axis: one system, as inverse_jacobian_product uses it.
     assert_allclose(solve_small(A[0], B[0]), np.linalg.solve(A[0], B[0]),
                     rtol=0, atol=1e-13)
+    if d <= 2:
+        # One determinant per system serves every column, with the
+        # bits of each column's own vector solve.
+        for AA, BB in ((A, B), (A[0], B[0])):
+            cols = np.stack([solve_small(AA, BB[..., i]) for i in range(3)], -1)
+            assert np.array_equal(solve_small(AA, BB), cols)
 
 
 def test_singular_layer_raises_inversion_error():

@@ -205,6 +205,8 @@ def test_default_quad_nodes_pass_chain_gates(tmp_path):
     summary = json.loads((tmp_path / "chain_summary.json").read_text())
     assert code == EXIT_OK
     assert summary["quad_nodes"] == 16
+    # 8 first-pass nodes suffice on most of the 4,096 path-steps.
+    assert 0 < summary["quad_refined"] <= 0.1 * 128 * 32
     assert summary["identity_residual_max"] <= 1e-9
 
 
