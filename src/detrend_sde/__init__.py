@@ -11,10 +11,13 @@ exact up to quadrature and inversion error.
 
 The public surface groups into model declaration (DriftSpec, ModelSpec,
 builtin_model, check_assumptions), flow computation (advance_flow,
-flow_jet, inverse_flow, liouville_determinant), the continuous-time
-transform (make_transform, simulate_*, map_back), the discrete chain
-(make_partition, broken_line, transform_chain), and diagnostics
-(boundedness_scan, weak_error_compare, strong_order_estimate).
+flow_jet, inverse_flow and their batched *_many forms), the
+continuous-time transform (make_transform, whose evaluate_batch gives
+the coefficients, simulate_*, map_back, pushforward_discrepancy), the
+discrete chain (make_partition, broken_line, transform_chain), and
+diagnostics (boundedness_scan, weak_error_compare,
+strong_order_estimate).  The command line runs three jobs on it:
+transform-sde, transform-chain and verify.
 """
 
 from .chain import (BrokenLine, ChainRun, Partition, TransformedChainRun,
@@ -29,7 +32,7 @@ from .errors import (AssumptionError, ConfigError, DetrendError,
                      SingularJacobianError)
 from .flow import (FlowJet, advance_flow, advance_flow_many, flow_jet,
                    flow_jet_many, flow_time_derivatives, inverse_flow,
-                   inverse_flow_many, liouville_determinant)
+                   inverse_flow_many)
 from .models import (AssumptionReport, DriftSpec, ModelSpec, SamplingPlan,
                      builtin_model, check_assumptions, drift_from_function,
                      fd_hessian, fd_jacobian, list_builtin_models)
@@ -52,7 +55,7 @@ __all__ = [
     "drift_from_function", "fd_hessian", "fd_jacobian", "flow_jet",
     "flow_jet_many", "flow_time_derivatives", "inverse_flow",
     "inverse_flow_many", "inverse_jacobian_product", "invert_broken_line",
-    "jacobian_limit_check", "liouville_determinant", "list_builtin_models",
+    "jacobian_limit_check", "list_builtin_models",
     "make_partition", "make_transform", "map_back", "normal_block",
     "product_jacobian", "pushforward_discrepancy", "rademacher_block",
     "simulate_chain", "simulate_original", "simulate_transformed",

@@ -277,11 +277,11 @@ def _build_model(cfg: ExperimentConfig):
         raise AssumptionError(
             "assumption check failed: "
             + ", ".join(n for n, e in report.entries.items() if not e.passed))
-    return model, report
+    return model
 
 
 def cmd_transform_sde(cfg: ExperimentConfig) -> int:
-    model, _ = _build_model(cfg)
+    model = _build_model(cfg)
     tc = make_transform(model, flow_tol=cfg.transform.flow_tol)
     out = Path(cfg.output.dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -338,7 +338,7 @@ def cmd_transform_sde(cfg: ExperimentConfig) -> int:
 
 
 def cmd_transform_chain(cfg: ExperimentConfig) -> int:
-    model, _ = _build_model(cfg)
+    model = _build_model(cfg)
     T = cfg.partition.T if cfg.partition.T is not None else model.horizon
     if abs(T - model.horizon) > 1e-12:
         raise ConfigError("partition horizon must match the model horizon")
@@ -398,7 +398,7 @@ def _verify_checks(cfg: ExperimentConfig):
     """Yield (name, category, passed, measured, tolerance) for the
     selected suite, on scaled-down sizes derived from the config."""
     try:
-        model, _ = _build_model(cfg)
+        model = _build_model(cfg)
         yield ("assumptions", "assumption", True, 0.0, 0.0)
     except AssumptionError:
         # No usable model; the remaining checks cannot run.

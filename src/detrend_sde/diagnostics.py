@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,7 +11,7 @@ from .sampling import sample_time_box
 from .transform import (DiscrepancyTable, TransformedCoefficients, map_back,
                         simulate_original, simulate_transformed)
 
-# Seed offset used to decouple the two ensembles when noise is not shared.
+# Seed offset that decouples weak_error_compare's two ensembles.
 _SEED_DECOUPLE = 0x9E3779B9
 
 
@@ -78,19 +78,17 @@ def boundedness_scan(target, box=None, n_samples: int = 256,
                      seed: int = 0) -> ScanReport:
     """Scan transformed coefficients for boundedness.
 
-    For TransformedCoefficients the scan walks quasi-random (t, y)
-    samples (time endpoints included), records sup-norms of m_tilde,
-    sigma_tilde, the flow constants and the curvature tensor, and
-    checks them against the bounds the derivative and ellipticity
-    constants imply.  For a transformed chain run it reduces the stored
-    per-step coefficient arrays instead; box and n_samples are ignored.
-    Failures happen only on non-finite values or violated bounds.
+    The scan walks quasi-random (t, y) samples (time endpoints
+    included) over the box, x0 +- 2 by default, records sup-norms of
+    m_tilde, sigma_tilde, the flow constants and the curvature tensor,
+    and checks them against the bounds the derivative and ellipticity
+    constants imply.  Failures happen only on non-finite values or
+    violated bounds.  target must be TransformedCoefficients (TypeError
+    otherwise); a transformed chain run stores its per-step
+    coefficients, whose sups the transform-chain job reports itself.
     """
-    if hasattr(target, "m_coeffs"):
-        return _scan_chain(target)
     if not isinstance(target, TransformedCoefficients):
-        raise TypeError("target must be TransformedCoefficients or a "
-                        "transformed chain run")
+        raise TypeError("target must be TransformedCoefficients")
     model = target.source
     if box is None:
         lo, hi = model.x0 - 2.0, model.x0 + 2.0
@@ -158,33 +156,6 @@ def boundedness_scan(target, box=None, n_samples: int = 256,
                       n_samples=n_samples, seed=seed, sups=sups, checks=checks)
 
 
-def _scan_chain(run) -> ScanReport:
-    ok = ~run.flagged
-    m = run.m_coeffs[ok]
-    s = run.sigma_coeffs[ok]
-    m_norm = np.linalg.norm(m, axis=2)
-    s_norm = _spectral_norms(s)
-    times = run.partition.times
-
-    def entry(values):
-        p, k = np.unravel_index(np.argmax(values), values.shape)
-        return SupEntry(value=float(values[p, k]), at_t=float(times[k]),
-                        at_x=[int(p)])
-    finite = bool(np.all(np.isfinite(m)) and np.all(np.isfinite(s)))
-    checks = {
-        "finite": CheckEntry(finite, 0.0 if finite else np.inf, np.inf),
-        "identity_residual": CheckEntry(
-            bool(np.nanmax(run.identity_residuals) < np.inf),
-            float(np.nanmax(run.identity_residuals)), np.inf),
-    }
-    return ScanReport(kind="chain", t_span=(0.0, run.partition.horizon),
-                      lo=[], hi=[], n_samples=int(m.shape[0] * m.shape[1]),
-                      seed=run.seed,
-                      sups={"m_tilde_norm": entry(m_norm),
-                            "sigma_tilde_norm": entry(s_norm)},
-                      checks=checks)
-
-
 @dataclass
 class WeakErrorRow:
     name: str
@@ -204,31 +175,26 @@ class WeakErrorReport:
     rows: list[WeakErrorRow]
     n_paths: int
     n_steps: int
-    shared_noise: bool
-    strong_discrepancy: float | None = None
 
     def to_dict(self) -> dict:
         return {"rows": [r.to_dict() for r in self.rows],
-                "n_paths": self.n_paths, "n_steps": self.n_steps,
-                "shared_noise": self.shared_noise,
-                "strong_discrepancy": self.strong_discrepancy}
+                "n_paths": self.n_paths, "n_steps": self.n_steps}
 
 
 def weak_error_compare(model: ModelSpec, tc: TransformedCoefficients,
                        n_steps: int, n_paths: int, seed: int,
-                       test_functions, shared_noise: bool = False) -> WeakErrorReport:
+                       test_functions) -> WeakErrorReport:
     """Compare terminal-time expectations of the original scheme and the
-    back-mapped transformed scheme.
+    back-mapped transformed scheme under independent noise.
 
     test_functions is a sequence of (name, fn) with fn mapping terminal
-    states (n_paths, dim) to scalars per path.  With independent noise
-    (default, transformed seed decoupled deterministically) matching
-    laws give |z| <= 3 up to rare fluctuations; with shared noise the
-    mean path distance is reported as strong_discrepancy instead.
+    states (n_paths, dim) to scalars per path.  The transformed scheme's
+    seed is decoupled from seed deterministically, and matching laws
+    give |z| <= 3 up to rare fluctuations.  pushforward_discrepancy is
+    the shared-noise, path-by-path comparison.
     """
-    seed_b = seed if shared_noise else (seed ^ _SEED_DECOUPLE)
     orig = simulate_original(model, n_steps, n_paths, seed)
-    trans = simulate_transformed(tc, n_steps, n_paths, seed_b)
+    trans = simulate_transformed(tc, n_steps, n_paths, seed ^ _SEED_DECOUPLE)
     mapped = map_back(tc, trans)
     ok_o = ~orig.flagged
     ok_b = ~mapped.flagged
@@ -244,13 +210,7 @@ def weak_error_compare(model: ModelSpec, tc: TransformedCoefficients,
         rows.append(WeakErrorRow(name=name, mean_original=mo,
                                  mean_mapped_back=mb, std_error=se,
                                  z_score=float(z)))
-    strong = None
-    if shared_noise:
-        both = ok_o & ok_b
-        strong = float(np.linalg.norm(
-            orig.paths[both, -1, :] - mapped.paths[both, -1, :], axis=1).mean())
-    return WeakErrorReport(rows=rows, n_paths=n_paths, n_steps=n_steps,
-                           shared_noise=shared_noise, strong_discrepancy=strong)
+    return WeakErrorReport(rows=rows, n_paths=n_paths, n_steps=n_steps)
 
 
 @dataclass
@@ -260,7 +220,6 @@ class ConvergenceTable:
     resolutions: np.ndarray
     errors: np.ndarray
     slope: float | None
-    fit_residual: float | None
     degenerate: bool = False
     monotone_violations: int = 0
 
@@ -275,20 +234,10 @@ class ConvergenceTable:
         violations = int(np.sum(np.diff(err) > 0))
         if np.any(err <= 0.0):
             return cls(resolutions=res, errors=err, slope=None,
-                       fit_residual=None, degenerate=True,
-                       monotone_violations=violations)
-        coeffs, just_res, *_ = np.polyfit(np.log(res), np.log(err), 1, full=True)
-        resid = float(np.sqrt(just_res[0] / res.size)) if just_res.size else 0.0
-        return cls(resolutions=res, errors=err, slope=float(coeffs[0]),
-                   fit_residual=resid, degenerate=False,
+                       degenerate=True, monotone_violations=violations)
+        slope = float(np.polyfit(np.log(res), np.log(err), 1)[0])
+        return cls(resolutions=res, errors=err, slope=slope,
                    monotone_violations=violations)
-
-    def to_dict(self) -> dict:
-        return {"resolutions": self.resolutions.tolist(),
-                "errors": self.errors.tolist(), "slope": self.slope,
-                "fit_residual": self.fit_residual,
-                "degenerate": self.degenerate,
-                "monotone_violations": self.monotone_violations}
 
 
 def strong_order_estimate(tables) -> ConvergenceTable:

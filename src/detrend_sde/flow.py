@@ -203,11 +203,3 @@ def flow_time_derivatives(drift: DriftSpec, t0: float, t: float, x: np.ndarray,
     d_t_ginv = -m @ ft
     return d_t0_g, d_t_ginv
 
-
-def liouville_determinant(drift: DriftSpec, t0: float, t: float, x: np.ndarray,
-                          tol: float = DEFAULT_TOL) -> tuple[float, float]:
-    """det g_star by two routes: directly from the integrated Jacobian,
-    and as exp of the trace integral along the trajectory."""
-    x = np.asarray(x, dtype=float)
-    jets = flow_jet_many(drift, t0, t, x[None, :], tol, order=1)
-    return float(jets["det_g_star"][0]), float(np.exp(jets["trace_integral"][0]))

@@ -194,8 +194,8 @@ def drift_from_function(f, dim: int, m_f: float, jac=None, hess=None,
                      jac_from_fd=jac_fd, hess_from_fd=hess_fd)
 
 
-def check_assumptions(model: ModelSpec, plan: SamplingPlan | None = None,
-                      tol: float = ASSUMPTION_TOL) -> AssumptionReport:
+def check_assumptions(model: ModelSpec,
+                      plan: SamplingPlan | None = None) -> AssumptionReport:
     """Sample the model over a space-time box and test the standing
     assumptions: uniform ellipticity against the declared constant,
     derivative bounds against m_f, boundedness of the perturbation.
@@ -232,7 +232,7 @@ def check_assumptions(model: ModelSpec, plan: SamplingPlan | None = None,
     else:
         w = np.linalg.eigvalsh(a)
         eig_min, eig_max = float(w[:, 0].min()), float(w[:, -1].max())
-        ok = (eig_max <= lam + tol) and (eig_min >= 1.0 / lam - tol)
+        ok = (eig_max <= lam + ASSUMPTION_TOL) and (eig_min >= 1.0 / lam - ASSUMPTION_TOL)
         entries["a1"] = AssumptionEntry(ok, {
             "declared_lambda": lam,
             "eig_min": eig_min, "eig_max": eig_max,
@@ -245,7 +245,8 @@ def check_assumptions(model: ModelSpec, plan: SamplingPlan | None = None,
         jac_sup = float(_spectral_norms(jac).max())
         hess_sup = float(_spectral_norms(hess).max())
         asym_max = float(np.abs(hess - hess.swapaxes(-1, -2)).max())
-        ok = (jac_sup <= model.drift.m_f + tol) and (hess_sup <= model.drift.m_f + tol)
+        bound = model.drift.m_f + ASSUMPTION_TOL
+        ok = jac_sup <= bound and hess_sup <= bound
         detail = "" if ok else "sampled derivative norms exceed m_f"
         if model.drift.jac_from_fd or model.drift.hess_from_fd:
             detail = (detail + " " if detail else "") + "derivatives from finite differences"
@@ -267,7 +268,7 @@ def check_assumptions(model: ModelSpec, plan: SamplingPlan | None = None,
         entries["a3"] = AssumptionEntry(np.isfinite(m_sup), {"m_norm_sup": m_sup})
 
     return AssumptionReport(model_name=model.name or model.drift.name,
-                            entries=entries, plan=plan, tolerance=tol,
+                            entries=entries, plan=plan, tolerance=ASSUMPTION_TOL,
                             k_constant=model.drift.m_f)
 
 

@@ -63,6 +63,7 @@ _EXPONENT = 1 / 8  # 1 / (q + 1) for the order q = 7 of the error estimate
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
+_MAX_STEPS = 1_000_000
 
 
 def _rms(v: np.ndarray) -> float:
@@ -110,14 +111,14 @@ def _initial_step(rhs, t0: float, y0: np.ndarray, f0: np.ndarray,
 
 
 def integrate(rhs, t0: float, t1, y0: np.ndarray, rtol: float = 1e-10,
-              atol: float = 1e-12, max_steps: int = 1_000_000) -> np.ndarray:
+              atol: float = 1e-12) -> np.ndarray:
     """Integrate dy/dt = rhs(t, y) from t0 to t1 (either direction).
 
     t1 is a scalar or one end time per row of y0, all on one side of t0.
     Returns each row at its own end time, with the shape of y0.  Raises
     ValueError for end times that are not finite or lie on both sides
     of t0, and FlowIntegrationError on a non-finite state, step-size
-    underflow or step-count overflow, carrying the last time reached.
+    underflow or more than _MAX_STEPS steps, carrying the last time reached.
     """
     y0 = np.asarray(y0, dtype=float)
     ends = np.full(y0.shape[:1], t1, dtype=float)
@@ -131,7 +132,7 @@ def integrate(rhs, t0: float, t1, y0: np.ndarray, rtol: float = 1e-10,
     y, t, t_next, done, k1, h = y0[order], t0, t0, 0, None, None
     tiny = 16 * np.finfo(float).eps
 
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         if t == t_next:  # a breakpoint: the rows ending here retire
             n = int(np.searchsorted(keys, direction * t + tiny * max(1.0, abs(t))))
             out[order[done:n]], y = y[:n - done], y[n - done:]

@@ -44,12 +44,6 @@ class TransformedCoefficients:
     source: ModelSpec
     flow_tol: float
 
-    def m_tilde(self, t: float, y: np.ndarray) -> np.ndarray:
-        return _eval_single(self, t, y)[0]
-
-    def sigma_tilde(self, t: float, y: np.ndarray) -> np.ndarray:
-        return _eval_single(self, t, y)[1]
-
     def evaluate_batch(self, t, ys: np.ndarray, return_jets: bool = False):
         """Coefficients for a batch of states at time t, a scalar or one
         time per row: one flow solve in which each row retires at its
@@ -75,23 +69,10 @@ def make_transform(model: ModelSpec, flow_tol: float = DEFAULT_TOL) -> Transform
     """Build the transformed coefficients for a model that satisfies the
     standing assumptions.  Zero drift degenerates to the original pair.
 
-    Flow failures propagate with the offending (t, y) in the message.
+    Flow failures propagate unchanged from evaluate_batch; a
+    FlowIntegrationError carries the last time reached.
     """
     return TransformedCoefficients(source=model, flow_tol=flow_tol)
-
-
-def _eval_single(tc: TransformedCoefficients, t: float, y: np.ndarray):
-    y = np.asarray(y, dtype=float)
-    try:
-        m, s = tc.evaluate_batch(t, y[None, :])
-    except Exception as exc:
-        # Amend the message in place so attributes such as t_reached or
-        # residual survive the re-raise.
-        head = exc.args[0] if exc.args else ""
-        exc.args = (f"{head} (while transforming at t={t!r}, y={y.tolist()})",
-                    *exc.args[1:])
-        raise
-    return m[0], s[0]
 
 
 @dataclass
@@ -243,10 +224,6 @@ class DiscrepancyTable:
     @property
     def terminal_mean(self) -> float:
         return float(self.mean[-1])
-
-    @property
-    def terminal_max(self) -> float:
-        return float(self.max[-1])
 
 
 def pushforward_discrepancy(model: ModelSpec, tc: TransformedCoefficients,

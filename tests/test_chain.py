@@ -45,13 +45,6 @@ def test_unknown_partition_kind():
         make_partition(4, "fibonacci")
 
 
-def test_floor_index():
-    p = make_partition(4, "uniform", T=1.0)
-    assert p.floor_index(0.0) == 0
-    assert p.floor_index(0.26) == 1
-    assert p.floor_index(1.0) == 4
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 200), st.floats(0.1, 2.0))
 def test_geometric_partition_invariants(n, c):

@@ -177,6 +177,18 @@ def test_verify_numeric_failure_exits_4(tmp_path, monkeypatch):
     assert code == EXIT_NUMERICAL
 
 
+def test_verify_loose_flow_tol_fails_inverse_jacobian(tmp_path):
+    # g_star @ g_star_inv drifts from I by about 1e-6 at flow_tol 0.01,
+    # against the check's 1e-8 gate.
+    code = main(["verify", "--set", "transform.flow_tol=0.01",
+                 "--set", 'suite=["assumptions","inverse_jacobian"]',
+                 "--out", str(tmp_path)])
+    assert code == EXIT_NUMERICAL
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    failed = [c["name"] for c in report["checks"] if not c["passed"]]
+    assert failed == ["inverse_jacobian"]
+
+
 def test_linalg_error_exits_4(tmp_path, monkeypatch):
     # LinAlgError subclasses ValueError but is a numerical failure, not
     # a configuration error.

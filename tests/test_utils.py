@@ -1,6 +1,9 @@
 """Noise blocks, quasi-random sampling, the serial chunk loop, the
-embedded Runge-Kutta integrator, and the runtime's imports."""
+embedded Runge-Kutta integrator, the runtime's imports and the public
+surface."""
 
+import dataclasses
+import inspect
 import math
 import os
 import subprocess
@@ -14,8 +17,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
+import detrend_sde
 from detrend_sde import FlowIntegrationError, normal_block, rademacher_block
-from detrend_sde import parallel, rk
+from detrend_sde import (chain, diagnostics, flow, models, parallel, rk,
+                         transform)
 from detrend_sde.sampling import _primes, sample_box, sample_time_box
 
 RK_TOL = 1e-10
@@ -92,6 +97,32 @@ def test_import_does_not_load_scipy():
                           text=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_public_surface():
+    names = detrend_sde.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert getattr(detrend_sde, name) is not None, name
+    gone = [(flow, "liouville_determinant"), (diagnostics, "_scan_chain"),
+            (transform, "_eval_single"),
+            (transform.TransformedCoefficients, "m_tilde"),
+            (transform.TransformedCoefficients, "sigma_tilde"),
+            (transform.DiscrepancyTable, "terminal_max"),
+            (chain.Partition, "floor_index"),
+            (diagnostics.ConvergenceTable, "to_dict"),
+            (diagnostics.ConvergenceTable, "fit_residual"),
+            (diagnostics.WeakErrorReport, "shared_noise"),
+            (diagnostics.WeakErrorReport, "strong_discrepancy")]
+    for owner, name in gone:
+        assert name not in names
+        assert not hasattr(owner, name), name
+        if dataclasses.is_dataclass(owner):
+            assert name not in {f.name for f in dataclasses.fields(owner)}, name
+    for fn, option in ((rk.integrate, "max_steps"),
+                       (models.check_assumptions, "tol"),
+                       (diagnostics.weak_error_compare, "shared_noise")):
+        assert option not in inspect.signature(fn).parameters, option
 
 
 def test_sample_time_box_include_ends():
@@ -216,6 +247,15 @@ def test_rk_nonfinite_raises():
     with pytest.raises(FlowIntegrationError) as exc:
         rk.integrate(rhs, 0.0, 2.0, np.array([[1.0]]))
     assert 0.9 <= exc.value.t_reached <= 1.05
+
+
+def test_rk_step_budget_exhausted(monkeypatch):
+    # This solve takes about 40 steps; ten end well short of t = 5, and
+    # the error says how far they got.
+    monkeypatch.setattr(rk, "_MAX_STEPS", 10)
+    with pytest.raises(FlowIntegrationError, match="step budget exhausted") as exc:
+        rk.integrate(_logistic, 0.0, 5.0, np.array([[0.4]]), rtol=1e-12)
+    assert 0.0 < exc.value.t_reached < 5.0
 
 
 @settings(max_examples=20, deadline=None)
