@@ -104,7 +104,7 @@ def _as_batch(x: np.ndarray, d: int) -> np.ndarray:
 def advance_flow_many(drift: DriftSpec, t0: float, t1, xs: np.ndarray,
                       tol: float = DEFAULT_TOL) -> np.ndarray:
     """g(t1; t0, x) per row; t1 is a scalar or one end time per row."""
-    return rk.integrate(drift.f, t0, t1, _as_batch(xs, drift.dim), rtol=tol)
+    return rk.integrate(drift.f, t0, t1, _as_batch(xs, drift.dim), rtol=tol)[0]
 
 
 def advance_flow(drift: DriftSpec, t0: float, t1: float, x: np.ndarray,
@@ -115,12 +115,15 @@ def advance_flow(drift: DriftSpec, t0: float, t1: float, x: np.ndarray,
 
 
 def flow_jet_many(drift: DriftSpec, t0: float, t1, xs: np.ndarray,
-                  tol: float = DEFAULT_TOL, order: int = 2) -> dict:
+                  tol: float = DEFAULT_TOL, order: int = 2,
+                  h0: float | None = None) -> dict:
     """Jets for a batch of base points; order 1 omits W and c.  t1 is a
-    scalar or one end time per row.
+    scalar or one end time per row; h0 is rk.integrate's first trial
+    step (None: its own estimate).
 
     Returns arrays keyed g, g_star, g_star_inv, det_g_star,
-    trace_integral and (order 2) c.
+    trace_integral and (order 2) c, and under step the step size the
+    solve would try next (h0 if it took none), for the next solve's h0.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
@@ -131,12 +134,14 @@ def flow_jet_many(drift: DriftSpec, t0: float, t1, xs: np.ndarray,
     u0 = np.zeros((b, nvar))
     u0[:, :d] = xs
     u0[:, d:d + 2 * dd] = np.tile(np.eye(d).ravel(), 2)
-    u = rk.integrate(_rhs_jet(drift, d, order), t0, t1, u0, rtol=tol)
+    u, step = rk.integrate(_rhs_jet(drift, d, order), t0, t1, u0, rtol=tol,
+                           h0=h0)
     out = {
         "g": u[:, :d].copy(),
         "g_star": u[:, d:d + dd].reshape(b, d, d).copy(),
         "g_star_inv": u[:, d + dd:d + 2 * dd].reshape(b, d, d).copy(),
         "trace_integral": u[:, -1].copy(),
+        "step": step,
     }
     out["det_g_star"] = np.linalg.det(out["g_star"])
     singular = np.abs(out["det_g_star"]) < _DET_FLOOR

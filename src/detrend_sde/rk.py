@@ -9,6 +9,11 @@ error-controlled over the rows still live, and rows retire at their end
 times as breakpoints of that grid (ibid., II.6).  The last stage of an
 accepted step is the first stage of the next (FSAL); it is evaluated
 after the rows ending at that step have retired.
+
+As in Hairer's dop853.f, the step size is an in/out argument: a caller
+solving a sequence of similar problems hands each solve's next step to
+the following one as its first trial step, which skips the starting-step
+estimate (ibid., II.4) and its extra right-hand-side call.
 """
 
 from __future__ import annotations
@@ -110,15 +115,24 @@ def _initial_step(rhs, t0: float, y0: np.ndarray, f0: np.ndarray,
     return min(100 * h0, h1, span)
 
 
+def _failure(what: str, t) -> FlowIntegrationError:
+    """The error for a solve stopped at t, a numpy or Python scalar."""
+    t = float(t)
+    return FlowIntegrationError(f"{what} at t={t!r}", t_reached=t)
+
+
 def integrate(rhs, t0: float, t1, y0: np.ndarray, rtol: float = 1e-10,
-              atol: float = 1e-12) -> np.ndarray:
+              atol: float = 1e-12, h0: float | None = None):
     """Integrate dy/dt = rhs(t, y) from t0 to t1 (either direction).
 
     t1 is a scalar or one end time per row of y0, all on one side of t0.
-    Returns each row at its own end time, with the shape of y0.  Raises
-    ValueError for end times that are not finite or lie on both sides
-    of t0, and FlowIntegrationError on a non-finite state, step-size
-    underflow or more than _MAX_STEPS steps, carrying the last time reached.
+    h0 is the first trial step size; None estimates one (_initial_step).
+    Returns (y, h): each row at its own end time, with the shape of y0,
+    and the step size the controller would try next, h0 if no step was
+    taken.  Raises ValueError for end times that are not finite or lie
+    on both sides of t0, and FlowIntegrationError on a non-finite state,
+    step-size underflow or more than _MAX_STEPS steps, carrying the last
+    time reached.
     """
     y0 = np.asarray(y0, dtype=float)
     ends = np.full(y0.shape[:1], t1, dtype=float)
@@ -129,7 +143,7 @@ def integrate(rhs, t0: float, t1, y0: np.ndarray, rtol: float = 1e-10,
     order = np.argsort(direction * ends, kind="stable")
     keys = direction * ends[order]
     out = np.empty_like(y0)
-    y, t, t_next, done, k1, h = y0[order], t0, t0, 0, None, None
+    y, t, t_next, done, k1, h = y0[order], t0, t0, 0, None, h0
     tiny = 16 * np.finfo(float).eps
 
     for _ in range(_MAX_STEPS):
@@ -138,7 +152,7 @@ def integrate(rhs, t0: float, t1, y0: np.ndarray, rtol: float = 1e-10,
             out[order[done:n]], y = y[:n - done], y[n - done:]
             done = n
             if done == keys.size:
-                return out
+                return out, h
             t_next = direction * float(keys[done])
         if k1 is None:
             k1 = rhs(t, y)
@@ -147,12 +161,10 @@ def integrate(rhs, t0: float, t1, y0: np.ndarray, rtol: float = 1e-10,
                               abs(direction * float(keys[-1]) - t0), rtol, atol)
         h_step = min(h, abs(t_next - t))
         if h_step < tiny * max(1.0, abs(t)):
-            raise FlowIntegrationError(
-                f"step size underflow at t={t!r}", t_reached=t)
+            raise _failure("step size underflow", t)
         y_new, e5, e3 = _stages(rhs, t, y, direction * h_step, k1)
         if not np.all(np.isfinite(y_new)):
-            raise FlowIntegrationError(
-                f"non-finite state at t={t!r}", t_reached=t)
+            raise _failure("non-finite state", t)
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
         s5 = float(np.sum(np.square(e5 / scale)))
         s3 = float(np.sum(np.square(e3 / scale)))
@@ -167,4 +179,4 @@ def integrate(rhs, t0: float, t1, y0: np.ndarray, rtol: float = 1e-10,
             h = max(h, grown) if h_step < h else grown
         else:
             h = h_step * _factor(err_norm)
-    raise FlowIntegrationError(f"step budget exhausted at t={t!r}", t_reached=t)
+    raise _failure("step budget exhausted", t)

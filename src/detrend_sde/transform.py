@@ -31,9 +31,11 @@ SCHEME_TRANSFORMED = "transformed"
 SCHEME_MAPPED_BACK = "mapped_back"
 
 # Paths per coefficient-evaluation block.  A block shares one adaptive
-# step sequence, so fixed boundaries keep a path's bits independent of
-# the paths after its block.  Jet states are small (d + 2 d^2 + d^3 + 1
-# doubles per path), so large blocks amortize the per-step numpy overhead.
+# step sequence, and simulate_transformed carries one step size per
+# block from each Euler step's solve to the next, so fixed boundaries
+# keep a path's bits independent of the paths after its block.  Jet
+# states are small (d + 2 d^2 + d^3 + 1 doubles per path), so large
+# blocks amortize the per-step numpy overhead.
 _COEFF_BLOCK = 8192
 
 
@@ -48,21 +50,29 @@ class TransformedCoefficients:
         """Coefficients for a batch of states at time t, a scalar or one
         time per row: one flow solve in which each row retires at its
         own t, and one call of the model's coefficients per distinct t."""
-        ys = np.asarray(ys, dtype=float)
-        jets = flow_jet_many(self.source.drift, 0.0, t, ys,
-                             tol=self.flow_tol, order=2)
-        g = jets["g"]
-        M = jets["g_star_inv"]
-        c = jets["c"]
-        mv = _per_time(self.source.bounded_drift, t, g)
-        sv = _per_time(self.source.sigma, t, g)
-        a = np.einsum("bip,bjp->bij", sv, sv)
-        corr = np.einsum("blij,bij->bl", c, a)
-        m_t = np.einsum("bij,bj->bi", M, mv - 0.5 * corr)
-        s_t = M @ sv
+        m_t, s_t, jets = _coefficients(self, t, ys)
         if return_jets:
             return m_t, s_t, jets
         return m_t, s_t
+
+
+def _coefficients(tc: TransformedCoefficients, t, ys: np.ndarray,
+                  h0: float | None = None):
+    """evaluate_batch's (m_tilde, sigma_tilde, jets), its jet solve
+    starting from the trial step h0 (None: rk's own estimate)."""
+    ys = np.asarray(ys, dtype=float)
+    jets = flow_jet_many(tc.source.drift, 0.0, t, ys, tol=tc.flow_tol,
+                         order=2, h0=h0)
+    g = jets["g"]
+    M = jets["g_star_inv"]
+    c = jets["c"]
+    mv = _per_time(tc.source.bounded_drift, t, g)
+    sv = _per_time(tc.source.sigma, t, g)
+    a = np.einsum("bip,bjp->bij", sv, sv)
+    corr = np.einsum("blij,bij->bl", c, a)
+    m_t = np.einsum("bij,bj->bi", M, mv - 0.5 * corr)
+    s_t = M @ sv
+    return m_t, s_t, jets
 
 
 def make_transform(model: ModelSpec, flow_tol: float = DEFAULT_TOL) -> TransformedCoefficients:
@@ -160,7 +170,14 @@ def simulate_original(model: ModelSpec, n_steps: int, n_paths: int,
 def simulate_transformed(tc: TransformedCoefficients, n_steps: int, n_paths: int,
                          seed: int) -> PathEnsemble:
     """Euler scheme for the detrended SDE, consuming the same innovation
-    stream as simulate_original for equal (seed, path, step)."""
+    stream as simulate_original for equal (seed, path, step).
+
+    Each Euler step solves the jets from 0 to t_k afresh.  The first
+    solve of a block of _COEFF_BLOCK paths estimates its starting step;
+    each later one starts from the step its block's previous solve
+    would have taken next.  The coefficients then agree with cold
+    evaluate_batch calls to the flow tolerance, not bit for bit.
+    """
     if n_steps < 1 or n_paths < 1:
         raise ValueError("n_steps and n_paths must be >= 1")
     model = tc.source
@@ -168,15 +185,17 @@ def simulate_transformed(tc: TransformedCoefficients, n_steps: int, n_paths: int
     times[-1] = model.horizon
     g_steps = np.empty((n_paths, n_steps, model.dim))
     columns = iter(g_steps.transpose(1, 0, 2))
+    blocks = range(0, n_paths, _COEFF_BLOCK)
+    steps = [None] * len(blocks)
 
     def coeff(t, y):
         g = next(columns)
         mu = np.empty_like(y)
         sig = np.empty(y.shape + (y.shape[1],))
-        for a in range(0, y.shape[0], _COEFF_BLOCK):
+        for i, a in enumerate(blocks):
             sl = slice(a, a + _COEFF_BLOCK)
-            mu[sl], sig[sl], jets = tc.evaluate_batch(t, y[sl], return_jets=True)
-            g[sl] = jets["g"]
+            mu[sl], sig[sl], jets = _coefficients(tc, t, y[sl], steps[i])
+            g[sl], steps[i] = jets["g"], jets["step"]
         return mu, sig
 
     paths, flagged, _ = _simulate_paths(times, model.x0, n_paths, seed,

@@ -9,8 +9,8 @@ from scipy.linalg import expm
 
 from detrend_sde import (FlowIntegrationError, ModelSpec, advance_flow_many,
                          builtin_model, make_transform, map_back,
-                         pushforward_discrepancy, simulate_original,
-                         simulate_transformed)
+                         normal_block, pushforward_discrepancy,
+                         simulate_original, simulate_transformed)
 from tests.conftest import (FROZEN, SINE1_T, SINE1_X, SWAP2_T, SWAP2_X,
                             make_swap_drift, quadratic_drift)
 
@@ -201,6 +201,28 @@ def test_coefficient_blocks_fix_the_bits(sine1_model, monkeypatch):
     small = simulate_transformed(tc, 8, 4, seed=3)
     assert np.array_equal(big.paths[:4], small.paths)
     assert np.array_equal(big.g_steps[:4], small.g_steps)
+
+
+def test_warm_started_simulation_matches_cold_coefficients(sine2_model):
+    # simulate_transformed starts each Euler step's jet solve from the
+    # step the previous one would have taken; an explicit Euler loop over
+    # cold evaluate_batch calls on the same innovations must agree to
+    # the flow tolerance.
+    n_steps, n_paths, seed = 16, 8, 5
+    tc = make_transform(sine2_model)
+    ens = simulate_transformed(tc, n_steps, n_paths, seed)
+    times = ens.times
+    y = np.broadcast_to(sine2_model.x0, (n_paths, 2)).copy()
+    want = [y]
+    for k in range(n_steps):
+        h = times[k + 1] - times[k]
+        mu, sig = tc.evaluate_batch(times[k], y)
+        xi = normal_block(seed, k, n_paths, 2)
+        y = y + h * mu + np.sqrt(h) * np.einsum("bij,bj->bi", sig, xi)
+        want.append(y)
+    want = np.stack(want, axis=1)
+    assert not ens.flagged.any()
+    assert np.all(np.abs(ens.paths - want) <= 1e-9 * (1 + np.abs(want)))
 
 
 def test_evaluate_batch_jets_roundtrip(sine1_model):

@@ -181,7 +181,7 @@ def test_rk_linear_vs_expm():
     def rhs(t, y):
         return y @ b.T
     y0 = np.array([[1.0, -0.5], [0.3, 2.0]])
-    got = rk.integrate(rhs, 0.0, 1.3, y0, rtol=1e-12, atol=1e-14)
+    got, _ = rk.integrate(rhs, 0.0, 1.3, y0, rtol=1e-12, atol=1e-14)
     want = y0 @ expm(1.3 * b).T
     assert_allclose(got, want, rtol=RK_TOL, atol=RK_TOL)
 
@@ -189,15 +189,15 @@ def test_rk_linear_vs_expm():
 def test_rk_backward_direction():
     def rhs(t, y):
         return -y
-    got = rk.integrate(rhs, 1.0, 0.0, np.array([[np.exp(-1.0)]]),
-                       rtol=1e-12, atol=1e-14)
+    got, _ = rk.integrate(rhs, 1.0, 0.0, np.array([[np.exp(-1.0)]]),
+                          rtol=1e-12, atol=1e-14)
     assert_allclose(got, [[1.0]], rtol=1e-9)
 
 
 def test_rk_zero_span_is_identity():
     y0 = np.array([[1.0, 2.0]])
-    got = rk.integrate(lambda t, y: y, 0.5, 0.5, y0)
-    assert np.array_equal(got, y0)
+    got, h = rk.integrate(lambda t, y: y, 0.5, 0.5, y0)
+    assert np.array_equal(got, y0) and h is None
 
 
 def _logistic(t, y):
@@ -210,17 +210,17 @@ def test_rk_per_row_end_times_match_single_solves():
                    [0.8, -0.3]])
     for t0, ends in ((0.2, [1.3, 0.2, 0.7, 1.3, 0.45]),
                      (1.0, [0.1, 1.0, 0.6, 0.1, -0.4])):
-        got = rk.integrate(_logistic, t0, np.array(ends), y0, rtol=RK_TOL)
+        got, _ = rk.integrate(_logistic, t0, np.array(ends), y0, rtol=RK_TOL)
         for i, t1 in enumerate(ends):
-            want = rk.integrate(_logistic, t0, t1, y0[i:i + 1], rtol=RK_TOL)[0]
+            want = rk.integrate(_logistic, t0, t1, y0[i:i + 1], rtol=RK_TOL)[0][0]
             assert_allclose(got[i], want, rtol=10 * RK_TOL, atol=10 * RK_TOL)
         assert np.array_equal(got[ends.index(t0)], y0[ends.index(t0)])
 
 
 def test_rk_equal_end_times_are_the_scalar_bits():
     y0 = np.array([[0.4, -1.2], [1.5, 0.2], [-0.7, 0.9]])
-    scalar = rk.integrate(_logistic, 0.0, 0.9, y0)
-    assert np.array_equal(rk.integrate(_logistic, 0.0, np.full(3, 0.9), y0),
+    scalar, _ = rk.integrate(_logistic, 0.0, 0.9, y0)
+    assert np.array_equal(rk.integrate(_logistic, 0.0, np.full(3, 0.9), y0)[0],
                           scalar)
 
 
@@ -256,6 +256,32 @@ def test_rk_step_budget_exhausted(monkeypatch):
     with pytest.raises(FlowIntegrationError, match="step budget exhausted") as exc:
         rk.integrate(_logistic, 0.0, 5.0, np.array([[0.4]]), rtol=1e-12)
     assert 0.0 < exc.value.t_reached < 5.0
+    # The time prints and travels as a Python float, not a numpy scalar.
+    assert "np.float64" not in str(exc.value)
+    assert type(exc.value.t_reached) is float
+
+
+def test_rk_warm_start_skips_the_initial_step_estimate(monkeypatch):
+    y0 = np.array([[0.4, -1.2], [1.5, 0.2], [-0.7, 0.9]])
+    cold, h_cold = rk.integrate(_logistic, 0.0, 1.7, y0, rtol=RK_TOL)
+
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("a warm start must not estimate its first step")
+    monkeypatch.setattr(rk, "_initial_step", no_estimate)
+    warm, h = rk.integrate(_logistic, 0.0, 1.7, y0, rtol=RK_TOL, h0=h_cold)
+    assert np.all(np.abs(warm - cold) <= 10 * RK_TOL * (1 + np.abs(cold)))
+    assert np.isfinite(h) and h > 0
+    # A first step longer than the span ends exactly at t1.
+    times = []
+
+    def linear(t, y):
+        times.append(t)
+        return -y
+    got, h = rk.integrate(linear, 0.0, 0.3, y0, rtol=RK_TOL, h0=10.0)
+    assert max(times) <= 0.3 * (1 + 4 * np.finfo(float).eps)
+    assert_allclose(got, y0 * np.exp(-0.3), rtol=10 * RK_TOL)
+    assert np.isfinite(h) and h > 0
+
 
 
 @settings(max_examples=20, deadline=None)
