@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ModelSpec, _per_time, _spectral_norms
+from .models import ModelSpec, _spectral_norms
 from .sampling import sample_time_box
 from .transform import (DiscrepancyTable, TransformedCoefficients, map_back,
                         simulate_original, simulate_transformed)
@@ -122,7 +122,7 @@ def boundedness_scan(target, box=None, n_samples: int = 256,
     lam = model.lambda_
     growth = np.sqrt(d) * np.exp(m_f * T)
     # m_tilde evaluates m at g(t; 0, y), not at the sample y itself.
-    sup_m_source = np.linalg.norm(_per_time(model.bounded_drift, ts, jets["g"]),
+    sup_m_source = np.linalg.norm(model.bounded_drift(ts[:, None], jets["g"]),
                                   axis=1).max()
     gsi_sup = gsi_norm.max()
     gs_sup = gs_norm.max()
@@ -164,21 +164,12 @@ class WeakErrorRow:
     std_error: float
     z_score: float
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "mean_original": self.mean_original,
-                "mean_mapped_back": self.mean_mapped_back,
-                "std_error": self.std_error, "z_score": self.z_score}
-
 
 @dataclass
 class WeakErrorReport:
     rows: list[WeakErrorRow]
     n_paths: int
     n_steps: int
-
-    def to_dict(self) -> dict:
-        return {"rows": [r.to_dict() for r in self.rows],
-                "n_paths": self.n_paths, "n_steps": self.n_steps}
 
 
 def weak_error_compare(model: ModelSpec, tc: TransformedCoefficients,

@@ -25,10 +25,11 @@ M), so diagonal and linear fields give the einsum bits; for d = 1 every
 product is elementwise.
 
 All entry points accept a single point or a batch.  The *_many entry
-points also take one end time per row: a batch is integrated in one
-call, error-controlled across its live rows, and each row retires at
-its own end time; a row ending at its start time gets exact identity
-jets.
+points also take one end time per row: rk.integrate rescales each row's
+time to s in [0, 1], t = t0 + (t1_i - t0) s, so the batch is one solve
+on one grid, error-controlled across all rows, and the drift callables
+see one time per row; a row ending at its start time gets exact
+identity jets.
 """
 
 from __future__ import annotations
@@ -124,6 +125,8 @@ def flow_jet_many(drift: DriftSpec, t0: float, t1, xs: np.ndarray,
     Returns arrays keyed g, g_star, g_star_inv, det_g_star,
     trace_integral and (order 2) c, and under step the step size the
     solve would try next (h0 if it took none), for the next solve's h0.
+    With end times that differ by row, h0 and step are steps in the
+    rescaled time s of rk.integrate, which no caller hands on.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")

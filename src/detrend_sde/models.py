@@ -5,7 +5,13 @@ and second derivatives and a declared bound m_f on both derivative
 orders (the field itself may be unbounded).  A full model adds a bounded
 perturbation drift, a square diffusion matrix and a declared ellipticity
 constant.  All callables are vectorized: ``f(t, x)`` accepts ``x`` with
-arbitrary leading batch axes and a scalar ``t``.
+arbitrary leading batch axes, and ``t`` is either a float or an array of
+shape ``x.shape[:-1] + (1,)``, one time per row.  That shape makes
+``t * x`` broadcast row by row; a flat array of one time per row would
+broadcast along the last axis instead, silently wrong when it has the
+length of a row.  Batches with per-row times (the flow solves of
+rescaled rows, the assumption check, the boundedness scan) call each
+callable once on the whole batch.
 
 Index conventions: ``jac(t, x)[..., i, k] = dF_i/dx_k`` and
 ``hess(t, x)[..., i, j, k] = d2F_i/(dx_j dx_k)``, symmetric in (j, k).
@@ -105,40 +111,9 @@ class AssumptionReport:
     def passed(self) -> bool:
         return all(e.passed for e in self.entries.values())
 
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model_name,
-            "passed": self.passed,
-            "tolerance": self.tolerance,
-            "k_constant": self.k_constant,
-            "plan": {
-                "t_span": [float(self.plan.t_span[0]), float(self.plan.t_span[1])],
-                "lo": np.asarray(self.plan.lo, dtype=float).tolist(),
-                "hi": np.asarray(self.plan.hi, dtype=float).tolist(),
-                "n_samples": self.plan.n_samples,
-                "seed": self.plan.seed,
-            },
-            "entries": {
-                name: {"passed": e.passed, "measured": e.measured, "detail": e.detail}
-                for name, e in self.entries.items()
-            },
-        }
-
 
 def _spectral_norms(mats: np.ndarray) -> np.ndarray:
     return np.linalg.svd(mats, compute_uv=False)[..., 0]
-
-
-def _per_time(fn, t, ys: np.ndarray) -> np.ndarray:
-    """fn(t_k, rows) once per distinct time t_k of t, a scalar or one
-    time per row of ys, reassembled in row order."""
-    ts = np.full(ys.shape[:1], t, dtype=float)
-    order = np.argsort(ts, kind="stable")
-    cuts = np.flatnonzero(np.diff(ts[order])) + 1
-    parts = [np.asarray(fn(float(ts[i[0]]), ys[i])) for i in np.split(order, cuts)]
-    out = np.empty(ys.shape[:1] + parts[0].shape[1:])
-    out[order] = np.concatenate(parts)
-    return out
 
 
 def fd_jacobian(f, t: float, x: np.ndarray) -> np.ndarray:
@@ -200,10 +175,9 @@ def check_assumptions(model: ModelSpec,
     assumptions: uniform ellipticity against the declared constant,
     derivative bounds against m_f, boundedness of the perturbation.
 
-    Every callable is evaluated once per distinct sample time on all
-    samples at that time.  Any non-finite evaluation fails the
-    corresponding entry and records the first offending (t, x) in
-    sample order.
+    Every callable is evaluated once, on all samples, with one time per
+    sample.  Any non-finite evaluation fails the corresponding entry and
+    records the first offending (t, x) in sample order.
     """
     if plan is None:
         plan = SamplingPlan(t_span=(0.0, model.horizon),
@@ -212,11 +186,12 @@ def check_assumptions(model: ModelSpec,
     n, d = ts.size, model.dim
     entries: dict[str, AssumptionEntry] = {}
 
-    sig = _per_time(model.sigma, ts, xs).reshape(n, d, d)
+    t = ts[:, None]
+    sig = np.asarray(model.sigma(t, xs), dtype=float).reshape(n, d, d)
     a = sig @ sig.transpose(0, 2, 1)
-    jac = _per_time(model.drift.jac, ts, xs).reshape(n, d, d)
-    hess = _per_time(model.drift.hess, ts, xs).reshape(n, d, d, d)
-    mv = _per_time(model.bounded_drift, ts, xs).reshape(n, d)
+    jac = np.asarray(model.drift.jac(t, xs), dtype=float).reshape(n, d, d)
+    hess = np.asarray(model.drift.hess(t, xs), dtype=float).reshape(n, d, d, d)
+    mv = np.asarray(model.bounded_drift(t, xs), dtype=float).reshape(n, d)
 
     def first_bad(*arrs):
         ok = np.all([np.isfinite(v.reshape(n, -1)).all(axis=1) for v in arrs], axis=0)
@@ -330,7 +305,12 @@ def _linear_model(b=1.0, dim=None, horizon=1.0, x0=None, m0=1.0, sigma0=1.0):
     if callable(b):
         if dim is None:
             raise ValueError("dim is required when b is a callable")
-        b_of_t = lambda t: np.asarray(b(t), dtype=float).reshape(dim, dim)
+        def b_of_t(t):
+            """b(t), or for one time per row one matrix per row."""
+            if np.ndim(t) == 0:
+                return np.asarray(b(t), dtype=float).reshape(dim, dim)
+            return np.stack([b_of_t(s) for s in np.ravel(t).tolist()]) \
+                .reshape(np.shape(t)[:-1] + (dim, dim))
         m_f = None
     else:
         b_arr = np.asarray(b, dtype=float)
@@ -349,7 +329,8 @@ def _linear_model(b=1.0, dim=None, horizon=1.0, x0=None, m0=1.0, sigma0=1.0):
                   for t in np.linspace(0.0, horizon, 65))
 
     def f(t, x):
-        return np.asarray(x, dtype=float) @ b_of_t(t).T
+        x, bt = np.asarray(x, dtype=float), b_of_t(t)
+        return x @ bt.T if bt.ndim == 2 else (bt @ x[..., None])[..., 0]
 
     def jac(t, x):
         x = np.asarray(x, dtype=float)

@@ -3,12 +3,14 @@
 One explicit scheme serves every flow computation in the package: the
 8th-order Dormand-Prince pair of Hairer, with its combined 5th/3rd-order
 error estimate and an I step controller (Hairer, Norsett and Wanner,
-Solving ODEs I, II.5 and II.10).  Each row of the state (its first
-axis) has its own end time; the batch steps on one adaptive grid,
-error-controlled over the rows still live, and rows retire at their end
-times as breakpoints of that grid (ibid., II.6).  The last stage of an
-accepted step is the first stage of the next (FSAL); it is evaluated
-after the rows ending at that step have retired.
+Solving ODEs I, II.5 and II.10).  The rows of the state (its first
+axis) step together from t0 to t1 on one adaptive grid, error-controlled
+over all rows; the last stage of an accepted step is the first of the
+next (FSAL).  Rows with their own end times t1_i share that grid in a
+rescaled time: with tau_i = t1_i - t0, row i solves dy/ds = tau_i
+rhs(t0 + tau_i s, y) for s from 0 to 1, so the grid has no breakpoints,
+the right-hand side sees one time per row, and a row with tau_i = 0
+comes back unchanged.
 
 As in Hairer's dop853.f, the step size is an in/out argument: a caller
 solving a sequence of similar problems hands each solve's next step to
@@ -121,62 +123,68 @@ def _failure(what: str, t) -> FlowIntegrationError:
     return FlowIntegrationError(f"{what} at t={t!r}", t_reached=t)
 
 
-def integrate(rhs, t0: float, t1, y0: np.ndarray, rtol: float = 1e-10,
-              atol: float = 1e-12, h0: float | None = None):
-    """Integrate dy/dt = rhs(t, y) from t0 to t1 (either direction).
-
-    t1 is a scalar or one end time per row of y0, all on one side of t0.
-    h0 is the first trial step size; None estimates one (_initial_step).
-    Returns (y, h): each row at its own end time, with the shape of y0,
-    and the step size the controller would try next, h0 if no step was
-    taken.  Raises ValueError for end times that are not finite or lie
-    on both sides of t0, and FlowIntegrationError on a non-finite state,
-    step-size underflow or more than _MAX_STEPS steps, carrying the last
-    time reached.
-    """
-    y0 = np.asarray(y0, dtype=float)
-    ends = np.full(y0.shape[:1], t1, dtype=float)
-    lo, hi = ends.min() - t0, ends.max() - t0
-    if not np.isfinite(lo + hi) or lo < 0 < hi:
-        raise ValueError("times must be finite, the end times on one side of t0")
-    direction = 1.0 if hi > 0 else -1.0
-    order = np.argsort(direction * ends, kind="stable")
-    keys = direction * ends[order]
-    out = np.empty_like(y0)
-    y, t, t_next, done, k1, h = y0[order], t0, t0, 0, None, h0
+def _solve(rhs, t0: float, t1: float, y: np.ndarray, rtol: float,
+           atol: float, h: float | None, clock=float):
+    """integrate's loop; clock(t) is the time a failure at t reports."""
+    direction = 1.0 if t1 > t0 else -1.0
     tiny = 16 * np.finfo(float).eps
-
+    if abs(t1 - t0) < tiny * max(1.0, abs(t0)):
+        return y.copy(), h
+    t, k1 = t0, None
     for _ in range(_MAX_STEPS):
-        if t == t_next:  # a breakpoint: the rows ending here retire
-            n = int(np.searchsorted(keys, direction * t + tiny * max(1.0, abs(t))))
-            out[order[done:n]], y = y[:n - done], y[n - done:]
-            done = n
-            if done == keys.size:
-                return out, h
-            t_next = direction * float(keys[done])
         if k1 is None:
             k1 = rhs(t, y)
         if h is None:
-            h = _initial_step(rhs, t0, y, k1, direction,
-                              abs(direction * float(keys[-1]) - t0), rtol, atol)
-        h_step = min(h, abs(t_next - t))
+            h = _initial_step(rhs, t0, y, k1, direction, abs(t1 - t0), rtol, atol)
+        h_step = min(h, abs(t1 - t))
         if h_step < tiny * max(1.0, abs(t)):
-            raise _failure("step size underflow", t)
+            raise _failure("step size underflow", clock(t))
         y_new, e5, e3 = _stages(rhs, t, y, direction * h_step, k1)
         if not np.all(np.isfinite(y_new)):
-            raise _failure("non-finite state", t)
+            raise _failure("non-finite state", clock(t))
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
         s5 = float(np.sum(np.square(e5 / scale)))
         s3 = float(np.sum(np.square(e3 / scale)))
         err_norm = 0.0 if s5 == 0.0 else \
             h_step * s5 / np.sqrt(y.size * (s5 + 0.01 * s3))
         if err_norm <= 1.0:
-            t = t_next if abs(t + direction * h_step - t_next) \
-                < tiny * max(1.0, abs(t_next)) else t + direction * h_step
+            last = abs(t + direction * h_step - t1) < tiny * max(1.0, abs(t1))
+            t = t1 if last else t + direction * h_step
             y, k1 = y_new, None
             grown = h_step * _factor(err_norm)
-            # A step cut short at a breakpoint does not shrink the next one.
+            # A last step cut short at t1 does not shrink the next one.
             h = max(h, grown) if h_step < h else grown
+            if last:
+                return y, h
         else:
             h = h_step * _factor(err_norm)
-    raise _failure("step budget exhausted", t)
+    raise _failure("step budget exhausted", clock(t))
+
+
+def integrate(rhs, t0: float, t1, y0: np.ndarray, rtol: float = 1e-10,
+              atol: float = 1e-12, h0: float | None = None):
+    """Integrate dy/dt = rhs(t, y) from t0 to t1 (either direction).
+
+    t1 is a scalar or one end time per row of y0, all on one side of t0.
+    Distinct end times rescale time (module docstring); rhs then gets t
+    of shape (rows, 1), and h0 and h below are steps in s.  h0 is the
+    first trial step size; None estimates one (_initial_step).
+    Returns (y, h): each row at its own end time, with the shape of y0,
+    and the step size the controller would try next, h0 if no step was
+    taken.  Raises ValueError for end times that are not finite or lie
+    on both sides of t0, and FlowIntegrationError on a non-finite state,
+    step-size underflow or more than _MAX_STEPS steps, carrying the last
+    time reached (when rescaled, along the row ending farthest from t0).
+    """
+    y0 = np.asarray(y0, dtype=float)
+    if np.ndim(t1) == 0 and np.isfinite(t1 - t0):
+        return _solve(rhs, t0, t1, y0, rtol, atol, h0)
+    ends = np.asarray(t1, dtype=float)
+    lo, hi = ends.min() - t0, ends.max() - t0
+    if not np.isfinite(lo + hi) or lo < 0 < hi:
+        raise ValueError("times must be finite, the end times on one side of t0")
+    if lo == hi:
+        return _solve(rhs, t0, float(ends[0]), y0, rtol, atol, h0)
+    tau, far = (ends - t0)[:, None], hi if lo >= 0 else lo
+    return _solve(lambda s, y: tau * rhs(t0 + tau * s, y), 0.0, 1.0, y0,
+                  rtol, atol, h0, clock=lambda s: t0 + far * s)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .flow import DEFAULT_TOL, advance_flow_many, flow_jet_many
-from .models import ModelSpec, _per_time
+from .models import ModelSpec
 from .noise import normal_block, rademacher_block
 
 SCHEME_ORIGINAL = "original"
@@ -48,8 +48,8 @@ class TransformedCoefficients:
 
     def evaluate_batch(self, t, ys: np.ndarray, return_jets: bool = False):
         """Coefficients for a batch of states at time t, a scalar or one
-        time per row: one flow solve in which each row retires at its
-        own t, and one call of the model's coefficients per distinct t."""
+        time per row: one flow solve, with each row's time rescaled to
+        end at its own t, and one call of each model coefficient."""
         m_t, s_t, jets = _coefficients(self, t, ys)
         if return_jets:
             return m_t, s_t, jets
@@ -66,8 +66,9 @@ def _coefficients(tc: TransformedCoefficients, t, ys: np.ndarray,
     g = jets["g"]
     M = jets["g_star_inv"]
     c = jets["c"]
-    mv = _per_time(tc.source.bounded_drift, t, g)
-    sv = _per_time(tc.source.sigma, t, g)
+    t = t if np.ndim(t) == 0 else np.reshape(t, (-1, 1))
+    mv = tc.source.bounded_drift(t, g)
+    sv = tc.source.sigma(t, g)
     a = np.einsum("bip,bjp->bij", sv, sv)
     corr = np.einsum("blij,bij->bl", c, a)
     m_t = np.einsum("bij,bj->bi", M, mv - 0.5 * corr)

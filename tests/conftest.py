@@ -56,26 +56,23 @@ def sine1_model():
     return builtin_model("sine", alpha=1.0, beta=1.0, dim=1)
 
 
+def _rowwise(fn):
+    """fn(t, row) over a batch of rows; t is a scalar or one time per row."""
+    def batched(t, x):
+        if x.ndim == 1:
+            return fn(t, x)
+        ts = np.broadcast_to(np.reshape(t, -1), len(x))
+        return np.stack([fn(t_i, row) for t_i, row in zip(ts, x)])
+    return batched
+
+
 def make_swap_drift():
     """Coupled time-dependent drift matching tests/_oracles.swap_fields."""
     from tests._oracles import swap_fields
     f, jac, hess = swap_fields(0.6, 1.1)
-
-    def f_b(t, x):
-        return np.stack([f(t, row) for row in np.atleast_2d(x)]) \
-            if x.ndim == 2 else f(t, x)
-
-    def jac_b(t, x):
-        return np.stack([jac(t, row) for row in np.atleast_2d(x)]) \
-            if x.ndim == 2 else jac(t, x)
-
-    def hess_b(t, x):
-        return np.stack([hess(t, row) for row in np.atleast_2d(x)]) \
-            if x.ndim == 2 else hess(t, x)
-
     # sup over [0, 1]: scale <= 1.5, |f'| <= 1.5*0.6*1.1, |f''| <= 1.5*0.6*1.21
-    return drift_from_function(f_b, dim=2, m_f=1.5 * 0.6 * 1.21,
-                               jac=jac_b, hess=hess_b)
+    return drift_from_function(_rowwise(f), dim=2, m_f=1.5 * 0.6 * 1.21,
+                               jac=_rowwise(jac), hess=_rowwise(hess))
 
 
 @pytest.fixture

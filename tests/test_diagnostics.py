@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from detrend_sde import (ConvergenceTable, DriftSpec, ModelSpec,
                          boundedness_scan, builtin_model, make_partition,
-                         make_transform, pushforward_discrepancy,
+                         make_transform, pushforward_discrepancy, rk,
                          simulate_chain, strong_order_estimate,
                          transform_chain, weak_error_compare)
 from detrend_sde.sampling import sample_time_box
@@ -100,6 +100,24 @@ def test_scan_passes_across_seeds_at_the_cli_config():
     assert failed == []
 
 
+def test_scan_at_the_cli_config_is_one_short_solve(monkeypatch):
+    # The 36 sample times share one rescaled grid.  Cutting the grid at
+    # every sample time instead took 397 right-hand-side calls.
+    calls = []
+    integrate = rk.integrate
+
+    def counting(rhs, *args, **kwargs):
+        def counted(t, y):
+            calls.append(len(y))
+            return rhs(t, y)
+        return integrate(counted, *args, **kwargs)
+    monkeypatch.setattr(rk, "integrate", counting)
+    tc = make_transform(builtin_model("sine", alpha=0.8, beta=1.3, dim=2))
+    assert boundedness_scan(tc, n_samples=32, seed=3).passed
+    assert 0 < len(calls) <= 120
+    assert set(calls) == {36}
+
+
 def test_scan_rejects_transformed_chain():
     # The transform-chain job reports a chain run's per-step sups itself.
     model = builtin_model("sine", alpha=0.8, beta=1.3, dim=2)
@@ -129,8 +147,7 @@ def test_weak_error_independent_seeds_reasonable():
     for row in rep.rows:
         assert row.std_error > 0
         assert abs(row.z_score) < 5.0
-    d = rep.to_dict()
-    assert {r["name"] for r in d["rows"]} == {"sq", "first"}
+    assert {r.name for r in rep.rows} == {"sq", "first"}
 
 
 def test_convergence_table_recovers_slope():

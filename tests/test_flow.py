@@ -252,6 +252,33 @@ def test_flow_jet_many_per_row_end_times(sine2_model, order):
                             atol=10 * FLOW_TOL, err_msg=key)
 
 
+TIME_DEPENDENT_DRIFTS = {
+    "swap": make_swap_drift,
+    "linear_callable_b": lambda: builtin_model(
+        "linear", b=lambda t: [[0.4 * t, 0.2], [-0.1, 0.3 - t]], dim=2).drift,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TIME_DEPENDENT_DRIFTS))
+def test_time_dependent_drift_per_row_end_times(kind):
+    # The drift reads t, so each row must see its own time t0 + tau_i s
+    # along the rescaled solve (sine ignores t and cannot tell).
+    drift = TIME_DEPENDENT_DRIFTS[kind]()
+    xs = sample_box(np.full(2, -1.5), np.full(2, 1.5), PER_ROW_T.size, seed=9)
+    tol = dict(rtol=10 * FLOW_TOL, atol=10 * FLOW_TOL)
+    got = advance_flow_many(drift, 0.0, PER_ROW_T, xs, FLOW_TOL)
+    for i, t in enumerate(PER_ROW_T):
+        assert_allclose(got[i], advance_flow(drift, 0.0, t, xs[i], FLOW_TOL),
+                        **tol)
+    for order in (1, 2):
+        jets = flow_jet_many(drift, 0.0, PER_ROW_T, xs, FLOW_TOL, order=order)
+        for i, t in enumerate(PER_ROW_T):
+            one = flow_jet_many(drift, 0.0, t, xs[i], FLOW_TOL, order=order)
+            del one["step"]
+            for key, value in one.items():
+                assert_allclose(jets[key][i], value[0], err_msg=key, **tol)
+
+
 def test_equal_end_times_are_the_scalar_bits(sine2_model):
     drift = sine2_model.drift
     xs = sample_box(np.full(2, -1.5), np.full(2, 1.5), 5, seed=7)

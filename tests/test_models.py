@@ -71,10 +71,9 @@ def test_logistic_derivative_bound():
 def test_builtins_pass_assumption_check(name):
     model = builtin_model(name)
     report = check_assumptions(model)
-    assert report.passed, report.to_dict()
-    d = report.to_dict()
-    assert d["model"] == model.name
-    assert set(d["entries"]) == {"a1", "a2", "a3"}
+    assert report.passed, report.entries
+    assert report.model_name == model.name
+    assert set(report.entries) == {"a1", "a2", "a3"}
 
 
 def test_declared_bound_too_small_fails():
@@ -175,13 +174,13 @@ def test_batched_check_matches_per_sample_loop(key):
     model = ASSUMPTION_MODELS[key]()
     plan = SamplingPlan(t_span=(0.0, model.horizon),
                         lo=model.x0 - 2.0, hi=model.x0 + 2.0)
-    entries = check_assumptions(model).to_dict()["entries"]
-    assert {k: e["measured"] for k, e in entries.items()} \
+    entries = check_assumptions(model).entries
+    assert {k: e.measured for k, e in entries.items()} \
         == _reference_measured(model, plan)
-    assert all(e["passed"] for e in entries.values())
+    assert all(e.passed for e in entries.values())
 
 
-def test_check_calls_each_callable_once_per_sample_time():
+def test_check_calls_each_callable_once_with_row_times():
     model = _swap_model()
     calls = {}
 
@@ -199,8 +198,10 @@ def test_check_calls_each_callable_once_per_sample_time():
     assert np.unique(ts).size < ts.size  # the time ends repeat
     assert set(calls) == {"sigma", "m", "jac", "hess"}
     for seen in calls.values():
-        assert all(type(t) is float for t in seen)
-        assert sorted(seen) == np.unique(ts).tolist()
+        # One call on every sample, with one time per row.
+        assert len(seen) == 1
+        assert seen[0].shape == (ts.size, 1)
+        assert np.array_equal(seen[0][:, 0], ts)
 
 
 def test_nonfinite_entries_report_first_sample_in_sample_order():

@@ -245,9 +245,10 @@ def test_evaluate_batch_per_row_times_match_scalar_calls(sine2_model):
     ys = np.array([[0.1, -0.4], [0.9, 0.2], [-1.1, 0.5], [0.3, 0.3],
                    [0.6, -0.8]])
     m_t, s_t, jets = tc.evaluate_batch(ts, ys, return_jets=True)
-    # One call per distinct time, each with a scalar time.
-    assert sorted(seen) == [(0.0, 1), (0.3, 1), (0.55, 1), (0.8, 2)]
-    assert all(type(t) is float for t, _ in seen)
+    # One call on the whole batch, with one time per row.
+    assert len(seen) == 1
+    t_seen, rows = seen[0]
+    assert rows == ts.size and np.array_equal(t_seen, ts[:, None])
     for i, t in enumerate(ts):
         m_i, s_i, jets_i = tc.evaluate_batch(t, ys[i:i + 1], return_jets=True)
         assert_allclose(m_t[i], m_i[0], rtol=1e-9, atol=1e-9)

@@ -113,7 +113,10 @@ def test_public_surface():
             (diagnostics.ConvergenceTable, "to_dict"),
             (diagnostics.ConvergenceTable, "fit_residual"),
             (diagnostics.WeakErrorReport, "shared_noise"),
-            (diagnostics.WeakErrorReport, "strong_discrepancy")]
+            (diagnostics.WeakErrorReport, "strong_discrepancy"),
+            (diagnostics.WeakErrorReport, "to_dict"),
+            (diagnostics.WeakErrorRow, "to_dict"),
+            (models.AssumptionReport, "to_dict")]
     for owner, name in gone:
         assert name not in names
         assert not hasattr(owner, name), name
