@@ -33,9 +33,8 @@ from .errors import (AssumptionError, ConfigError, DetrendError,
 from .flow import (FlowJet, advance_flow, advance_flow_many, flow_jet,
                    flow_jet_many, flow_time_derivatives, inverse_flow,
                    inverse_flow_many)
-from .models import (AssumptionReport, DriftSpec, ModelSpec, SamplingPlan,
-                     builtin_model, check_assumptions, drift_from_function,
-                     fd_hessian, fd_jacobian, list_builtin_models)
+from .models import (AssumptionReport, DriftSpec, ModelSpec, builtin_model,
+                     check_assumptions, list_builtin_models)
 from .noise import normal_block, rademacher_block
 from .transform import (DiscrepancyTable, PathEnsemble,
                         TransformedCoefficients, make_transform, map_back,
@@ -48,12 +47,11 @@ __all__ = [
     "AssumptionError", "AssumptionReport", "BrokenLine", "ChainRun",
     "ConfigError", "ConvergenceTable", "DetrendError", "DiscrepancyTable",
     "DriftSpec", "FlowIntegrationError", "FlowJet", "InversionError",
-    "ModelSpec", "Partition", "PathEnsemble", "SamplingPlan", "ScanReport",
+    "ModelSpec", "Partition", "PathEnsemble", "ScanReport",
     "SingularJacobianError", "TransformedChainRun", "TransformedCoefficients",
     "WeakErrorReport", "advance_flow", "advance_flow_many",
     "boundedness_scan", "broken_line", "builtin_model", "check_assumptions",
-    "drift_from_function", "fd_hessian", "fd_jacobian", "flow_jet",
-    "flow_jet_many", "flow_time_derivatives", "inverse_flow",
+    "flow_jet", "flow_jet_many", "flow_time_derivatives", "inverse_flow",
     "inverse_flow_many", "inverse_jacobian_product", "invert_broken_line",
     "jacobian_limit_check", "list_builtin_models",
     "make_partition", "make_transform", "map_back", "normal_block",

@@ -122,10 +122,9 @@ def make_partition(n: int, kind: str = "uniform", T: float = 1.0,
 
 @dataclass
 class BrokenLine:
-    """Drift-only Euler polygon from one base point with its Jacobians
-    and the layer matrices A_j = I + h_j F_x(t_j, v_j), shape (n, d, d)."""
+    """Drift-only Euler polygon from values[0] with its Jacobians and
+    the layer matrices A_j = I + h_j F_x(t_j, v_j), shape (n, d, d)."""
 
-    base: np.ndarray
     values: np.ndarray
     jacobians: np.ndarray
     partition: Partition
@@ -154,7 +153,7 @@ def broken_line(drift: DriftSpec, partition: Partition, x: np.ndarray) -> Broken
         values[k + 1] = values[k] + h * fk
         jacs[k + 1] = np.eye(d) + acc
         layers[k] = np.eye(d) + h * jk
-    return BrokenLine(base=x, values=values, jacobians=jacs,
+    return BrokenLine(values=values, jacobians=jacs,
                       partition=partition, drift=drift, layers=layers)
 
 
@@ -406,7 +405,6 @@ class TransformedChainRun:
     quad_nodes: int
     flagged: np.ndarray
     refined: np.ndarray
-    source: ChainRun
 
 
 def _gauss_legendre_01(q: int):
@@ -552,7 +550,7 @@ def transform_chain(model: ModelSpec, partition: Partition, run: ChainRun,
                                identity_residuals=resid_id,
                                reconstruction_residuals=resid_rec,
                                seed=run.seed, quad_nodes=quad_nodes,
-                               flagged=flagged, refined=refined, source=run)
+                               flagged=flagged, refined=refined)
 
 
 def jacobian_limit_check(drift: DriftSpec, x: np.ndarray, t: float,

@@ -33,8 +33,8 @@ from .errors import (AssumptionError, ConfigError, DetrendError,
                      SingularJacobianError)
 from .flow import (DEFAULT_TOL, advance_flow, advance_flow_many, flow_jet_many,
                    flow_time_derivatives, inverse_flow)
-from .models import (_spectral_norms, builtin_model, check_assumptions,
-                     list_builtin_models)
+from .models import (_sampling_box, _spectral_norms, builtin_model,
+                     check_assumptions, list_builtin_models)
 from .sampling import sample_box, sample_time_box
 from .transform import (_discrepancy_table, make_transform, map_back,
                         pushforward_discrepancy, simulate_original,
@@ -409,7 +409,7 @@ def _verify_checks(cfg: ExperimentConfig):
     T = model.horizon
     tol = cfg.transform.flow_tol
     seed = cfg.simulation.seed
-    lo, hi = model.x0 - 2.0, model.x0 + 2.0
+    lo, hi = _sampling_box(model)
     wanted = set(cfg.suite)
 
     if "flow_roundtrip" in wanted:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ModelSpec, _spectral_norms
+from .models import ModelSpec, _sampling_box, _spectral_norms
 from .sampling import sample_time_box
 from .transform import (DiscrepancyTable, TransformedCoefficients, map_back,
                         simulate_original, simulate_transformed)
@@ -74,12 +74,12 @@ def _sup(values, ts, xs) -> SupEntry:
                     at_x=np.asarray(xs[i], dtype=float).tolist())
 
 
-def boundedness_scan(target, box=None, n_samples: int = 256,
+def boundedness_scan(target, n_samples: int = 256,
                      seed: int = 0) -> ScanReport:
     """Scan transformed coefficients for boundedness.
 
     The scan walks quasi-random (t, y) samples (time endpoints
-    included) over the box, x0 +- 2 by default, records sup-norms of
+    included) over the box x0 +- 2, records sup-norms of
     m_tilde, sigma_tilde, the flow constants and the curvature tensor,
     and checks them against the bounds the derivative and ellipticity
     constants imply.  Failures happen only on non-finite values or
@@ -90,11 +90,7 @@ def boundedness_scan(target, box=None, n_samples: int = 256,
     if not isinstance(target, TransformedCoefficients):
         raise TypeError("target must be TransformedCoefficients")
     model = target.source
-    if box is None:
-        lo, hi = model.x0 - 2.0, model.x0 + 2.0
-    else:
-        lo = np.asarray(box[0], dtype=float)
-        hi = np.asarray(box[1], dtype=float)
+    lo, hi = _sampling_box(model)
     t_span = (0.0, model.horizon)
     ts, xs = sample_time_box(t_span, lo, hi, n_samples, seed, include_ends=True)
 

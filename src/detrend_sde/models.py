@@ -1,15 +1,17 @@
 """Model declarations and assumption checking.
 
-A drift is described by its vector field together with analytic first
-and second derivatives and a declared bound m_f on both derivative
-orders (the field itself may be unbounded).  A full model adds a bounded
-perturbation drift, a square diffusion matrix and a declared ellipticity
-constant.  All callables are vectorized: ``f(t, x)`` accepts ``x`` with
-arbitrary leading batch axes, and ``t`` is either a float or an array of
-shape ``x.shape[:-1] + (1,)``, one time per row.  That shape makes
-``t * x`` broadcast row by row; a flat array of one time per row would
-broadcast along the last axis instead, silently wrong when it has the
-length of a row.  Batches with per-row times (the flow solves of
+A drift is described by its vector field together with its first and
+second derivatives and a declared bound m_f on both derivative orders
+(the field itself may be unbounded).  Both derivatives are required and
+analytic: the jet ODE integrates them into g_*, g_*^{-1} and c, and its
+adaptive steps stall on finite-difference noise.  A full model adds a
+bounded perturbation drift, a square diffusion matrix and a declared
+ellipticity constant.  All callables are vectorized: ``f(t, x)`` accepts
+``x`` with arbitrary leading batch axes, and ``t`` is either a float or
+an array of shape ``x.shape[:-1] + (1,)``, one time per row.  That shape
+makes ``t * x`` broadcast row by row; a flat array of one time per row
+would broadcast along the last axis instead, silently wrong when it has
+the length of a row.  Batches with per-row times (the flow solves of
 rescaled rows, the assumption check, the boundedness scan) call each
 callable once on the whole batch.
 
@@ -19,7 +21,7 @@ Index conventions: ``jac(t, x)[..., i, k] = dF_i/dx_k`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -27,9 +29,6 @@ import numpy as np
 from .errors import AssumptionError
 from .sampling import sample_time_box
 
-_EPS = np.finfo(float).eps
-_FD_JAC_STEP = np.sqrt(_EPS)
-_FD_HESS_STEP = np.cbrt(_EPS)
 ASSUMPTION_TOL = 1e-9
 
 
@@ -43,8 +42,6 @@ class DriftSpec:
     m_f: float
     dim: int
     name: str = ""
-    jac_from_fd: bool = False
-    hess_from_fd: bool = False
 
     def __post_init__(self):
         if self.dim < 1:
@@ -77,21 +74,6 @@ class ModelSpec:
 
 
 @dataclass
-class SamplingPlan:
-    """Space-time sampling box used by assumption checks and scans."""
-
-    t_span: tuple[float, float]
-    lo: np.ndarray
-    hi: np.ndarray
-    n_samples: int = 256
-    seed: int = 0
-
-    def materialize(self):
-        return sample_time_box(self.t_span, self.lo, self.hi,
-                               self.n_samples, self.seed, include_ends=True)
-
-
-@dataclass
 class AssumptionEntry:
     passed: bool
     measured: dict
@@ -102,10 +84,6 @@ class AssumptionEntry:
 class AssumptionReport:
     model_name: str
     entries: dict[str, AssumptionEntry]
-    plan: SamplingPlan
-    tolerance: float
-    # Growth constant used by every Gronwall-type bound downstream.
-    k_constant: float
 
     @property
     def passed(self) -> bool:
@@ -116,73 +94,26 @@ def _spectral_norms(mats: np.ndarray) -> np.ndarray:
     return np.linalg.svd(mats, compute_uv=False)[..., 0]
 
 
-def fd_jacobian(f, t: float, x: np.ndarray) -> np.ndarray:
-    """Centered-difference Jacobian of f at (t, x), step sqrt(eps)*max(1,|x_k|)."""
-    x = np.asarray(x, dtype=float)
-    d = x.shape[-1]
-    h = _FD_JAC_STEP * np.maximum(1.0, np.abs(x))
-    cols = []
-    for k in range(d):
-        e = np.zeros_like(x)
-        e[..., k] = h[..., k]
-        cols.append((f(t, x + e) - f(t, x - e)) / (2.0 * h[..., k, None]))
-    return np.stack(cols, axis=-1)
+def _sampling_box(model: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The space box x0 +- 2 that the assumption check, the boundedness
+    scan and the verify job sample."""
+    return model.x0 - 2.0, model.x0 + 2.0
 
 
-def fd_hessian(f, t: float, x: np.ndarray) -> np.ndarray:
-    """Centered second differences of f, step cbrt(eps)*max(1,|x_k|)."""
-    x = np.asarray(x, dtype=float)
-    d = x.shape[-1]
-    h = _FD_HESS_STEP * np.maximum(1.0, np.abs(x))
-    f0 = f(t, x)
-    out = np.empty(x.shape + (d, d))
-    for j in range(d):
-        ej = np.zeros_like(x)
-        ej[..., j] = h[..., j]
-        out[..., j, j] = ((f(t, x + ej) - 2.0 * f0 + f(t, x - ej))
-                          / np.square(h[..., j, None]))
-        for k in range(j):
-            ek = np.zeros_like(x)
-            ek[..., k] = h[..., k]
-            mixed = (f(t, x + ej + ek) - f(t, x + ej - ek)
-                     - f(t, x - ej + ek) + f(t, x - ej - ek)) \
-                / (4.0 * h[..., j, None] * h[..., k, None])
-            out[..., j, k] = mixed
-            out[..., k, j] = mixed
-    return out
-
-
-def drift_from_function(f, dim: int, m_f: float, jac=None, hess=None,
-                        name: str = "") -> DriftSpec:
-    """Build a DriftSpec from a bare vector field.
-
-    Missing derivatives fall back to centered finite differences and the
-    spec is flagged accordingly, which assumption reports surface.
-    """
-    jac_fd = jac is None
-    hess_fd = hess is None
-    if jac is None:
-        jac = lambda t, x: fd_jacobian(f, t, x)
-    if hess is None:
-        hess = lambda t, x: fd_hessian(f, t, x)
-    return DriftSpec(f=f, jac=jac, hess=hess, m_f=m_f, dim=dim, name=name,
-                     jac_from_fd=jac_fd, hess_from_fd=hess_fd)
-
-
-def check_assumptions(model: ModelSpec,
-                      plan: SamplingPlan | None = None) -> AssumptionReport:
+def check_assumptions(model: ModelSpec) -> AssumptionReport:
     """Sample the model over a space-time box and test the standing
     assumptions: uniform ellipticity against the declared constant,
     derivative bounds against m_f, boundedness of the perturbation.
 
-    Every callable is evaluated once, on all samples, with one time per
+    The samples are 256 quasi-random points of [0, horizon] x (x0 +- 2),
+    seed 0, plus a few pinned to each end of the time span.  Every
+    callable is evaluated once, on all samples, with one time per
     sample.  Any non-finite evaluation fails the corresponding entry and
     records the first offending (t, x) in sample order.
     """
-    if plan is None:
-        plan = SamplingPlan(t_span=(0.0, model.horizon),
-                            lo=model.x0 - 2.0, hi=model.x0 + 2.0)
-    ts, xs = plan.materialize()
+    lo, hi = _sampling_box(model)
+    ts, xs = sample_time_box((0.0, model.horizon), lo, hi, 256, 0,
+                             include_ends=True)
     n, d = ts.size, model.dim
     entries: dict[str, AssumptionEntry] = {}
 
@@ -222,16 +153,11 @@ def check_assumptions(model: ModelSpec,
         asym_max = float(np.abs(hess - hess.swapaxes(-1, -2)).max())
         bound = model.drift.m_f + ASSUMPTION_TOL
         ok = jac_sup <= bound and hess_sup <= bound
-        detail = "" if ok else "sampled derivative norms exceed m_f"
-        if model.drift.jac_from_fd or model.drift.hess_from_fd:
-            detail = (detail + " " if detail else "") + "derivatives from finite differences"
         entries["a2"] = AssumptionEntry(ok, {
             "m_f": model.drift.m_f,
             "jac_norm_sup": jac_sup, "hess_norm_sup": hess_sup,
             "hess_asymmetry_max": asym_max,
-            "jac_from_fd": model.drift.jac_from_fd,
-            "hess_from_fd": model.drift.hess_from_fd,
-        }, detail.strip())
+        }, "" if ok else "sampled derivative norms exceed m_f")
 
     bad = first_bad(mv)
     if bad:
@@ -243,8 +169,7 @@ def check_assumptions(model: ModelSpec,
         entries["a3"] = AssumptionEntry(np.isfinite(m_sup), {"m_norm_sup": m_sup})
 
     return AssumptionReport(model_name=model.name or model.drift.name,
-                            entries=entries, plan=plan, tolerance=ASSUMPTION_TOL,
-                            k_constant=model.drift.m_f)
+                            entries=entries)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ that agree to ~1.7e-14).  Regenerate with:  python3 -m tests._oracles
 import numpy as np
 import pytest
 
-from detrend_sde import builtin_model, drift_from_function
+from detrend_sde import DriftSpec, builtin_model
 
 FROZEN = {
     "sine2_y": np.array([0.7746831755969261, -0.5973329936227757]),
@@ -71,8 +71,8 @@ def make_swap_drift():
     from tests._oracles import swap_fields
     f, jac, hess = swap_fields(0.6, 1.1)
     # sup over [0, 1]: scale <= 1.5, |f'| <= 1.5*0.6*1.1, |f''| <= 1.5*0.6*1.21
-    return drift_from_function(_rowwise(f), dim=2, m_f=1.5 * 0.6 * 1.21,
-                               jac=_rowwise(jac), hess=_rowwise(hess))
+    return DriftSpec(f=_rowwise(f), jac=_rowwise(jac), hess=_rowwise(hess),
+                     m_f=1.5 * 0.6 * 1.21, dim=2)
 
 
 @pytest.fixture
@@ -96,4 +96,4 @@ def quadratic_drift():
     def hess(t, x):
         return np.full(x.shape + (1, 1), 2.0)
 
-    return drift_from_function(f, dim=1, m_f=10.0, jac=jac, hess=hess)
+    return DriftSpec(f=f, jac=jac, hess=hess, m_f=10.0, dim=1)

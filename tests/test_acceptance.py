@@ -16,13 +16,12 @@ import pytest
 from scipy.linalg import expm
 
 from detrend_sde import (ConvergenceTable, advance_flow_many, builtin_model,
-                         broken_line, drift_from_function, flow_jet_many,
-                         flow_time_derivatives, inverse_flow_many,
-                         inverse_jacobian_product, jacobian_limit_check,
-                         make_partition, make_transform, product_jacobian,
-                         pushforward_discrepancy, simulate_chain,
-                         strong_order_estimate, transform_chain,
-                         weak_error_compare)
+                         broken_line, flow_jet_many, flow_time_derivatives,
+                         inverse_flow_many, inverse_jacobian_product,
+                         jacobian_limit_check, make_partition, make_transform,
+                         product_jacobian, pushforward_discrepancy,
+                         simulate_chain, strong_order_estimate,
+                         transform_chain, weak_error_compare)
 from detrend_sde.sampling import sample_box
 from tests._oracles import rk4
 

@@ -8,7 +8,8 @@ benchmark runs.
 import importlib.util
 from pathlib import Path
 
-from detrend_sde import SamplingPlan, builtin_model, cli, make_transform
+from detrend_sde import builtin_model, cli, make_transform
+from detrend_sde.sampling import sample_time_box
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -57,8 +58,8 @@ def test_tracer_sees_one_call_per_derivative():
     # sample, with one time per sample.
     tracing = _load_tracing()
     model = builtin_model("sine", alpha=0.8, beta=1.3, dim=2)
-    ts, _ = SamplingPlan(t_span=(0.0, model.horizon), lo=model.x0 - 2.0,
-                         hi=model.x0 + 2.0).materialize()
+    ts, _ = sample_time_box((0.0, model.horizon), model.x0 - 2.0,
+                            model.x0 + 2.0, 256, 0, include_ends=True)
     tracer = tracing.Tracer()
     tracer.install(drifts=[model.drift])
     try:

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from detrend_sde import (InversionError, builtin_model, broken_line,
-                         drift_from_function, inverse_jacobian_product,
+from detrend_sde import (DriftSpec, InversionError, builtin_model,
+                         broken_line, inverse_jacobian_product,
                          invert_broken_line, jacobian_limit_check,
                          make_partition, product_jacobian, simulate_chain,
                          simulate_original, transform_chain)
@@ -350,9 +350,10 @@ def test_singular_layer_raises_inversion_error():
     # closed-form solve gives inf instead of raising.
     p = make_partition(4, "uniform", T=1.0)
     h = p.steps[0]
-    drift = drift_from_function(lambda t, x: -x / h, dim=1, m_f=0.1,
-                                jac=lambda t, x: np.full(x.shape + (1,), -1.0 / h),
-                                hess=lambda t, x: np.zeros(x.shape + (1, 1)))
+    drift = DriftSpec(f=lambda t, x: -x / h,
+                      jac=lambda t, x: np.full(x.shape + (1,), -1.0 / h),
+                      hess=lambda t, x: np.zeros(x.shape + (1, 1)),
+                      m_f=0.1, dim=1)
     with pytest.raises(InversionError) as exc:
         invert_broken_line(drift, p, 2, np.array([0.3]))
     assert not np.isfinite(exc.value.residual)

@@ -8,10 +8,10 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
-from detrend_sde import (FlowIntegrationError, SingularJacobianError,
-                         advance_flow, advance_flow_many, builtin_model,
-                         drift_from_function, flow, flow_jet, flow_jet_many,
-                         flow_time_derivatives, inverse_flow,
+from detrend_sde import (DriftSpec, FlowIntegrationError,
+                         SingularJacobianError, advance_flow,
+                         advance_flow_many, builtin_model, flow, flow_jet,
+                         flow_jet_many, flow_time_derivatives, inverse_flow,
                          inverse_flow_many, rk)
 from detrend_sde.sampling import sample_box, sample_time_box
 from tests._oracles import (c_tensor, jet_rhs, rk4, sine_fields, swap_fields,
@@ -343,7 +343,7 @@ def _rhs_case(kind, d):
         return make_swap_drift(), swap_fields(0.6, 1.1)
     fields = _quadratic_fields(d, seed=d)
     # m_f is a bound the right-hand side never reads.
-    return drift_from_function(fields[0], d, 1.0, *fields[1:]), fields
+    return DriftSpec(*fields, m_f=1.0, dim=d), fields
 
 
 KERNEL_TOL = 1e-14

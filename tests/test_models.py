@@ -6,15 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from detrend_sde import (AssumptionError, ModelSpec, SamplingPlan,
+from detrend_sde import (AssumptionError, DriftSpec, ModelSpec,
                          builtin_model, check_assumptions,
-                         drift_from_function, fd_hessian, fd_jacobian,
                          list_builtin_models)
-from detrend_sde.sampling import sample_box
+from detrend_sde.sampling import sample_box, sample_time_box
 from tests.conftest import make_swap_drift
 
-FD_ATOL = 1e-6
-FD_RTOL = 1e-4
+
+def _check_samples(model):
+    """The (t, x) samples check_assumptions evaluates: x0 +- 2 over
+    [0, horizon], 256 points, seed 0, time ends pinned."""
+    return sample_time_box((0.0, model.horizon), model.x0 - 2.0,
+                           model.x0 + 2.0, 256, 0, include_ends=True)
 
 
 def test_builtin_listing():
@@ -79,8 +82,8 @@ def test_builtins_pass_assumption_check(name):
 def test_declared_bound_too_small_fails():
     # Same sine field, but m_f understates the true derivative sup.
     good = builtin_model("sine", alpha=1.0, beta=2.0)
-    bad_drift = drift_from_function(good.drift.f, dim=1, m_f=0.5,
-                                    jac=good.drift.jac, hess=good.drift.hess)
+    bad_drift = DriftSpec(f=good.drift.f, jac=good.drift.jac,
+                          hess=good.drift.hess, m_f=0.5, dim=1)
     bad = ModelSpec(drift=bad_drift, bounded_drift=good.bounded_drift,
                     sigma=good.sigma, lambda_=good.lambda_, dim=1,
                     horizon=good.horizon, x0=good.x0, name="bad")
@@ -106,11 +109,20 @@ def test_degenerate_diffusion_fails():
 
 
 def test_nonfinite_drift_reports_location():
+    def nan_past(x):
+        return np.where(x[..., 0] > 1.5, np.nan, 0.0)
+
     def f(t, x):
         out = np.zeros_like(x)
-        out[..., 0] = np.where(x[..., 0] > 1.5, np.nan, 0.0)
+        out[..., 0] = nan_past(x)
         return out
-    drift = drift_from_function(f, dim=1, m_f=1.0)
+
+    def jac(t, x):
+        return nan_past(x)[..., None, None]
+
+    def hess(t, x):
+        return nan_past(x)[..., None, None, None]
+    drift = DriftSpec(f=f, jac=jac, hess=hess, m_f=1.0, dim=1)
     base = builtin_model("zero_drift", dim=1)
     m = ModelSpec(drift=drift, bounded_drift=base.bounded_drift,
                   sigma=base.sigma, lambda_=base.lambda_, dim=1,
@@ -120,10 +132,10 @@ def test_nonfinite_drift_reports_location():
     assert "non-finite" in report.entries["a2"].detail
 
 
-def _reference_measured(model, plan):
+def _reference_measured(model):
     """The per-sample loop that check_assumptions batches: one
     evaluation of every callable per (t, x) sample."""
-    ts, xs = plan.materialize()
+    ts, xs = _check_samples(model)
     d = model.dim
     eig_min, eig_max = np.inf, -np.inf
     jac_sup = hess_sup = asym_max = m_sup = 0.0
@@ -143,8 +155,7 @@ def _reference_measured(model, plan):
     return {
         "a1": {"declared_lambda": model.lambda_, "eig_min": eig_min, "eig_max": eig_max},
         "a2": {"m_f": drift.m_f, "jac_norm_sup": jac_sup, "hess_norm_sup": hess_sup,
-               "hess_asymmetry_max": asym_max, "jac_from_fd": drift.jac_from_fd,
-               "hess_from_fd": drift.hess_from_fd},
+               "hess_asymmetry_max": asym_max},
         "a3": {"m_norm_sup": m_sup},
     }
 
@@ -172,11 +183,9 @@ ASSUMPTION_MODELS = {
 @pytest.mark.parametrize("key", sorted(ASSUMPTION_MODELS))
 def test_batched_check_matches_per_sample_loop(key):
     model = ASSUMPTION_MODELS[key]()
-    plan = SamplingPlan(t_span=(0.0, model.horizon),
-                        lo=model.x0 - 2.0, hi=model.x0 + 2.0)
     entries = check_assumptions(model).entries
     assert {k: e.measured for k, e in entries.items()} \
-        == _reference_measured(model, plan)
+        == _reference_measured(model)
     assert all(e.passed for e in entries.values())
 
 
@@ -193,8 +202,8 @@ def test_check_calls_each_callable_once_with_row_times():
     model.bounded_drift = recording("m", model.bounded_drift)
     model.drift.jac = recording("jac", model.drift.jac)
     model.drift.hess = recording("hess", model.drift.hess)
-    report = check_assumptions(model)
-    ts, _ = report.plan.materialize()
+    check_assumptions(model)
+    ts, _ = _check_samples(model)
     assert np.unique(ts).size < ts.size  # the time ends repeat
     assert set(calls) == {"sigma", "m", "jac", "hess"}
     for seen in calls.values():
@@ -206,11 +215,6 @@ def test_check_calls_each_callable_once_with_row_times():
 
 def test_nonfinite_entries_report_first_sample_in_sample_order():
     base = builtin_model("zero_drift", dim=2)
-    plan = SamplingPlan(t_span=(0.0, 1.0), lo=np.full(2, -2.0),
-                        hi=np.full(2, 2.0), n_samples=64, seed=3)
-    ts, xs = plan.materialize()
-    bad_sigma = xs[:, 0] > 1.0
-    bad_m = xs[:, 1] > 1.0
 
     def sigma(t, x):
         s = base.sigma(t, x)
@@ -224,7 +228,10 @@ def test_nonfinite_entries_report_first_sample_in_sample_order():
     model = ModelSpec(drift=base.drift, bounded_drift=m, sigma=sigma,
                       lambda_=base.lambda_, dim=2, horizon=1.0,
                       x0=base.x0, name="two_faults")
-    report = check_assumptions(model, plan)
+    ts, xs = _check_samples(model)
+    bad_sigma = xs[:, 0] > 1.0
+    bad_m = xs[:, 1] > 1.0
+    report = check_assumptions(model)
     i_sigma, i_m = np.argmax(bad_sigma), np.argmax(bad_m)
     assert i_sigma != i_m
     # The first offender in sample order is not the earliest in time,
@@ -241,44 +248,6 @@ def test_nonfinite_entries_report_first_sample_in_sample_order():
 def test_elliptic_sigma_required():
     with pytest.raises(AssumptionError):
         builtin_model("sine", sigma0=0.0)
-
-
-def test_fd_jacobian_matches_analytic():
-    m = builtin_model("sine", alpha=0.9, beta=1.4, dim=3)
-    xs = sample_box(np.full(3, -2.0), np.full(3, 2.0), 1000, seed=1)
-    for t in (0.0, 0.4):
-        got = fd_jacobian(m.drift.f, t, xs)
-        want = m.drift.jac(t, xs)
-        tol = np.maximum(FD_ATOL, FD_RTOL * np.abs(want))
-        assert np.all(np.abs(got - want) <= tol)
-
-
-def test_fd_hessian_matches_analytic_and_symmetric():
-    m = builtin_model("sine", alpha=0.9, beta=1.4, dim=2)
-    xs = sample_box(np.full(2, -2.0), np.full(2, 2.0), 200, seed=2)
-    got = fd_hessian(m.drift.f, 0.0, xs)
-    want = m.drift.hess(0.0, xs)
-    assert np.all(np.abs(got - want) <= np.maximum(1e-5, 1e-3 * np.abs(want)))
-    assert_allclose(got, got.swapaxes(-1, -2), atol=1e-7)
-
-
-def test_drift_from_function_flags_fd():
-    f = builtin_model("sine").drift.f
-    d = drift_from_function(f, dim=1, m_f=1.0)
-    assert d.jac_from_fd and d.hess_from_fd
-    d2 = drift_from_function(f, dim=1, m_f=1.0, jac=builtin_model("sine").drift.jac)
-    assert not d2.jac_from_fd and d2.hess_from_fd
-
-
-def test_sampling_plan_materialize_deterministic():
-    plan = SamplingPlan(t_span=(0.0, 1.0), lo=np.zeros(2), hi=np.ones(2),
-                        n_samples=32, seed=9)
-    t1, x1 = plan.materialize()
-    t2, x2 = plan.materialize()
-    assert np.array_equal(t1, t2) and np.array_equal(x1, x2)
-    # Boundary pinning appends a slab at each end of the time span.
-    assert x1.shape[0] >= 32 and x1.shape[1] == 2
-    assert t1.min() == 0.0 and t1.max() == 1.0
 
 
 @settings(max_examples=25, deadline=None)

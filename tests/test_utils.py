@@ -116,7 +116,16 @@ def test_public_surface():
             (diagnostics.WeakErrorReport, "strong_discrepancy"),
             (diagnostics.WeakErrorReport, "to_dict"),
             (diagnostics.WeakErrorRow, "to_dict"),
-            (models.AssumptionReport, "to_dict")]
+            (models.AssumptionReport, "to_dict"),
+            (models, "drift_from_function"), (models, "fd_jacobian"),
+            (models, "fd_hessian"), (models, "SamplingPlan"),
+            (detrend_sde, "drift_from_function"), (detrend_sde, "fd_jacobian"),
+            (detrend_sde, "fd_hessian"), (detrend_sde, "SamplingPlan"),
+            (models.DriftSpec, "jac_from_fd"), (models.DriftSpec, "hess_from_fd"),
+            (models.AssumptionReport, "plan"),
+            (models.AssumptionReport, "tolerance"),
+            (models.AssumptionReport, "k_constant"),
+            (chain.BrokenLine, "base"), (chain.TransformedChainRun, "source")]
     for owner, name in gone:
         assert name not in names
         assert not hasattr(owner, name), name
@@ -124,6 +133,8 @@ def test_public_surface():
             assert name not in {f.name for f in dataclasses.fields(owner)}, name
     for fn, option in ((rk.integrate, "max_steps"),
                        (models.check_assumptions, "tol"),
+                       (models.check_assumptions, "plan"),
+                       (diagnostics.boundedness_scan, "box"),
                        (diagnostics.weak_error_compare, "shared_noise")):
         assert option not in inspect.signature(fn).parameters, option
 
@@ -134,6 +145,17 @@ def test_sample_time_box_include_ends():
     assert ts.shape[0] == xs.shape[0]
     assert np.any(ts == 0.25) and np.any(ts == 2.0)
     assert ts.min() >= 0.25 and ts.max() <= 2.0
+
+
+def test_sample_time_box_deterministic_with_pinned_ends():
+    t1, x1 = sample_time_box((0.0, 1.0), np.zeros(2), np.ones(2), 32, 9,
+                             include_ends=True)
+    t2, x2 = sample_time_box((0.0, 1.0), np.zeros(2), np.ones(2), 32, 9,
+                             include_ends=True)
+    assert np.array_equal(t1, t2) and np.array_equal(x1, x2)
+    # Boundary pinning appends a slab at each end of the time span.
+    assert x1.shape[0] >= 32 and x1.shape[1] == 2
+    assert t1.min() == 0.0 and t1.max() == 1.0
 
 
 def test_sample_time_box_accepts_scalar_bounds():
