@@ -11,7 +11,7 @@ exact up to quadrature and inversion error.
 
 The public surface groups into model declaration (DriftSpec, ModelSpec,
 builtin_model, check_assumptions), flow computation (advance_flow,
-flow_jet, inverse_flow and their batched *_many forms), the
+inverse_flow and their batched *_many forms, flow_jet_many), the
 continuous-time transform (make_transform, whose evaluate_batch gives
 the coefficients, simulate_*, map_back, pushforward_discrepancy), the
 discrete chain (make_partition, broken_line, transform_chain), and
@@ -30,9 +30,8 @@ from .diagnostics import (ConvergenceTable, ScanReport, WeakErrorReport,
 from .errors import (AssumptionError, ConfigError, DetrendError,
                      FlowIntegrationError, InversionError,
                      SingularJacobianError)
-from .flow import (FlowJet, advance_flow, advance_flow_many, flow_jet,
-                   flow_jet_many, flow_time_derivatives, inverse_flow,
-                   inverse_flow_many)
+from .flow import (advance_flow, advance_flow_many, flow_jet_many,
+                   flow_time_derivatives, inverse_flow, inverse_flow_many)
 from .models import (AssumptionReport, DriftSpec, ModelSpec, builtin_model,
                      check_assumptions, list_builtin_models)
 from .noise import normal_block, rademacher_block
@@ -46,12 +45,12 @@ __version__ = "0.1.0"
 __all__ = [
     "AssumptionError", "AssumptionReport", "BrokenLine", "ChainRun",
     "ConfigError", "ConvergenceTable", "DetrendError", "DiscrepancyTable",
-    "DriftSpec", "FlowIntegrationError", "FlowJet", "InversionError",
+    "DriftSpec", "FlowIntegrationError", "InversionError",
     "ModelSpec", "Partition", "PathEnsemble", "ScanReport",
     "SingularJacobianError", "TransformedChainRun", "TransformedCoefficients",
     "WeakErrorReport", "advance_flow", "advance_flow_many",
     "boundedness_scan", "broken_line", "builtin_model", "check_assumptions",
-    "flow_jet", "flow_jet_many", "flow_time_derivatives", "inverse_flow",
+    "flow_jet_many", "flow_time_derivatives", "inverse_flow",
     "inverse_flow_many", "inverse_jacobian_product", "invert_broken_line",
     "jacobian_limit_check", "list_builtin_models",
     "make_partition", "make_transform", "map_back", "normal_block",

@@ -48,9 +48,9 @@ import numpy as np
 
 from .diagnostics import ConvergenceTable
 from .errors import InversionError
-from .flow import DEFAULT_TOL, flow_jet
+from .flow import DEFAULT_TOL, flow_jet_many
 from .models import DriftSpec, ModelSpec
-from .transform import _simulate_paths
+from .transform import _original_coefficients, _simulate_paths, _uniform_times
 
 DEFAULT_INVERSION_TOL = 1e-12
 DEFAULT_QUAD_NODES = 16
@@ -65,20 +65,17 @@ _PATHS_PER_SOLVE = 256
 
 @dataclass
 class Partition:
-    """Grid 0 = t_0 < ... < t_n = T with steps h_k = t_{k+1} - t_k and
-    recorded max/min step ratio."""
+    """Grid 0 = t_0 < ... < t_n = T with recorded max/min step ratio;
+    the steps h_k = t_{k+1} - t_k are derived from the times."""
 
     times: np.ndarray
-    steps: np.ndarray
     ratio_c: float
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
-        self.steps = np.asarray(self.steps, dtype=float)
+        self.steps = np.diff(self.times)
         if self.times[0] != 0.0 or not np.all(self.steps > 0):
             raise ValueError("partition must start at 0 with positive steps")
-        if abs(self.steps.sum() - self.horizon) > 1e-12 * max(1.0, self.horizon):
-            raise ValueError("steps do not sum to the horizon")
 
     @property
     def n(self) -> int:
@@ -103,20 +100,16 @@ def make_partition(n: int, kind: str = "uniform", T: float = 1.0,
     if not T > 0:
         raise ValueError("T must be positive")
     if kind == "uniform":
-        times = np.linspace(0.0, T, n + 1)
-        times[-1] = T
-        return Partition(times=times, steps=np.diff(times), ratio_c=1.0)
+        return Partition(times=_uniform_times(T, n), ratio_c=1.0)
     if kind == "geometric":
         r = 1.0 + c / n
         if r <= 0.0:
             raise ValueError(f"geometric ratio parameter c={c} gives nonpositive steps")
         w = r ** np.arange(n)
-        steps = T * w / w.sum()
-        times = np.concatenate(([0.0], np.cumsum(steps)))
+        times = np.concatenate(([0.0], np.cumsum(T * w / w.sum())))
         times[-1] = T
         steps = np.diff(times)
-        return Partition(times=times, steps=steps,
-                         ratio_c=float(steps.max() / steps.min()))
+        return Partition(times=times, ratio_c=float(steps.max() / steps.min()))
     raise ValueError(f"unknown partition kind {kind!r}")
 
 
@@ -127,7 +120,6 @@ class BrokenLine:
 
     values: np.ndarray
     jacobians: np.ndarray
-    partition: Partition
     drift: DriftSpec
     layers: np.ndarray
 
@@ -153,8 +145,8 @@ def broken_line(drift: DriftSpec, partition: Partition, x: np.ndarray) -> Broken
         values[k + 1] = values[k] + h * fk
         jacs[k + 1] = np.eye(d) + acc
         layers[k] = np.eye(d) + h * jk
-    return BrokenLine(values=values, jacobians=jacs,
-                      partition=partition, drift=drift, layers=layers)
+    return BrokenLine(values=values, jacobians=jacs, drift=drift,
+                      layers=layers)
 
 
 def product_jacobian(bl: BrokenLine, k: int) -> np.ndarray:
@@ -378,13 +370,9 @@ def simulate_chain(model: ModelSpec, partition: Partition, n_paths: int,
         raise ValueError("n_paths must be >= 1")
     if innovation not in ("normal", "rademacher"):
         raise ValueError("innovation must be 'normal' or 'rademacher'")
-
-    def coeff(t, y):
-        return model.drift.f(t, y) + model.bounded_drift(t, y), model.sigma(t, y)
-
     paths, flagged, noises = _simulate_paths(
-        partition.times, model.x0, n_paths, seed, coeff, model.dim,
-        noise=innovation, store_noise=True)
+        partition.times, model.x0, n_paths, seed, _original_coefficients(model),
+        model.dim, noise=innovation, store_noise=True)
     return ChainRun(partition=partition, states=paths, innovations=noises,
                     seed=seed, flagged=flagged, innovation_kind=innovation)
 
@@ -395,14 +383,11 @@ class TransformedChainRun:
     of the exactness checks, and the path-steps whose first quadrature
     pass failed its error estimate (refined, shape (paths, n))."""
 
-    partition: Partition
     states: np.ndarray
     m_coeffs: np.ndarray
     sigma_coeffs: np.ndarray
     identity_residuals: np.ndarray
     reconstruction_residuals: np.ndarray
-    seed: int
-    quad_nodes: int
     flagged: np.ndarray
     refined: np.ndarray
 
@@ -545,11 +530,9 @@ def transform_chain(model: ModelSpec, partition: Partition, run: ChainRun,
                 + u[:, None, None] * delta[fine_idx][None]
         Qbar_prev = Qbar
 
-    return TransformedChainRun(partition=partition, states=states,
-                               m_coeffs=m_co, sigma_coeffs=s_co,
+    return TransformedChainRun(states=states, m_coeffs=m_co, sigma_coeffs=s_co,
                                identity_residuals=resid_id,
                                reconstruction_residuals=resid_rec,
-                               seed=run.seed, quad_nodes=quad_nodes,
                                flagged=flagged, refined=refined)
 
 
@@ -559,7 +542,7 @@ def jacobian_limit_check(drift: DriftSpec, x: np.ndarray, t: float,
     g_star(t; 0, x), tabulated over uniform partitions of [0, t] with n
     steps for n in n_list; first-order in the step."""
     x = np.asarray(x, dtype=float).reshape(drift.dim)
-    ref = flow_jet(drift, 0.0, t, x, tol=flow_tol).g_star
+    ref = flow_jet_many(drift, 0.0, t, x[None], flow_tol)["g_star"][0]
     rows = []
     for n in n_list:
         part = make_partition(int(n), "uniform", T=t)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ModelSpec, _sampling_box, _spectral_norms
+from .models import _sampling_box, _spectral_norms
 from .sampling import sample_time_box
 from .transform import (DiscrepancyTable, TransformedCoefficients, map_back,
                         simulate_original, simulate_transformed)
@@ -123,29 +123,29 @@ def boundedness_scan(target, n_samples: int = 256,
     gsi_sup = gsi_norm.max()
     gs_sup = gs_norm.max()
     slack = 1.0 + 1e-9
+
+    def upper(measured, bound):
+        return CheckEntry(measured <= bound * slack, float(measured), float(bound))
+
+    def lower(measured, bound):
+        # Both lower bounds are of positive quantities; an underflowed
+        # bound must not pass a zero.
+        return CheckEntry(measured >= bound / slack and measured > 0,
+                          float(measured), float(bound))
+
     all_finite = all(np.all(np.isfinite(a)) for a in
                      (m_norm, s_norm, gs_norm, gsi_norm, c_max, dets))
     checks = {
         "finite": CheckEntry(all_finite, 0.0 if all_finite else np.inf, np.inf),
-        "g_star_growth": CheckEntry(gs_sup <= growth * slack, float(gs_sup), float(growth)),
-        "g_star_inv_growth": CheckEntry(gsi_sup <= growth * slack, float(gsi_sup), float(growth)),
-        "det_upper": CheckEntry(dets.max() <= np.exp(d * m_f * T) * slack,
-                                float(dets.max()), float(np.exp(d * m_f * T))),
-        "det_lower": CheckEntry(dets.min() >= np.exp(-d * m_f * T) / slack,
-                                float(dets.min()), float(np.exp(-d * m_f * T))),
-        "m_tilde_bound": CheckEntry(
-            m_norm.max() <= gsi_sup * (sup_m_source + 0.5 * d * d * c_max.max() * lam) * slack,
-            float(m_norm.max()),
-            float(gsi_sup * (sup_m_source + 0.5 * d * d * c_max.max() * lam))),
-        "sigma_tilde_bound": CheckEntry(
-            s_norm.max() <= gsi_sup * np.sqrt(lam) * slack,
-            float(s_norm.max()), float(gsi_sup * np.sqrt(lam))),
-        "ellipticity_lower": CheckEntry(
-            eig_lo.min() >= (1.0 / lam) / (gs_sup ** 2) / slack and eig_lo.min() > 0,
-            float(eig_lo.min()), float((1.0 / lam) / (gs_sup ** 2))),
-        "ellipticity_upper": CheckEntry(
-            eig_hi.max() <= lam * gsi_sup ** 2 * slack,
-            float(eig_hi.max()), float(lam * gsi_sup ** 2)),
+        "g_star_growth": upper(gs_sup, growth),
+        "g_star_inv_growth": upper(gsi_sup, growth),
+        "det_upper": upper(dets.max(), np.exp(d * m_f * T)),
+        "det_lower": lower(dets.min(), np.exp(-d * m_f * T)),
+        "m_tilde_bound": upper(m_norm.max(), gsi_sup * (
+            sup_m_source + 0.5 * d * d * c_max.max() * lam)),
+        "sigma_tilde_bound": upper(s_norm.max(), gsi_sup * np.sqrt(lam)),
+        "ellipticity_lower": lower(eig_lo.min(), (1.0 / lam) / (gs_sup ** 2)),
+        "ellipticity_upper": upper(eig_hi.max(), lam * gsi_sup ** 2),
     }
     return ScanReport(kind="sde_transform", t_span=t_span,
                       lo=np.atleast_1d(lo).tolist(), hi=np.atleast_1d(hi).tolist(),
@@ -164,15 +164,13 @@ class WeakErrorRow:
 @dataclass
 class WeakErrorReport:
     rows: list[WeakErrorRow]
-    n_paths: int
-    n_steps: int
 
 
-def weak_error_compare(model: ModelSpec, tc: TransformedCoefficients,
-                       n_steps: int, n_paths: int, seed: int,
+def weak_error_compare(tc: TransformedCoefficients, n_steps: int,
+                       n_paths: int, seed: int,
                        test_functions) -> WeakErrorReport:
-    """Compare terminal-time expectations of the original scheme and the
-    back-mapped transformed scheme under independent noise.
+    """Compare terminal-time expectations of tc.source's original scheme
+    and the back-mapped transformed scheme under independent noise.
 
     test_functions is a sequence of (name, fn) with fn mapping terminal
     states (n_paths, dim) to scalars per path.  The transformed scheme's
@@ -180,7 +178,7 @@ def weak_error_compare(model: ModelSpec, tc: TransformedCoefficients,
     give |z| <= 3 up to rare fluctuations.  pushforward_discrepancy is
     the shared-noise, path-by-path comparison.
     """
-    orig = simulate_original(model, n_steps, n_paths, seed)
+    orig = simulate_original(tc.source, n_steps, n_paths, seed)
     trans = simulate_transformed(tc, n_steps, n_paths, seed ^ _SEED_DECOUPLE)
     mapped = map_back(tc, trans)
     ok_o = ~orig.flagged
@@ -197,7 +195,7 @@ def weak_error_compare(model: ModelSpec, tc: TransformedCoefficients,
         rows.append(WeakErrorRow(name=name, mean_original=mo,
                                  mean_mapped_back=mb, std_error=se,
                                  z_score=float(z)))
-    return WeakErrorReport(rows=rows, n_paths=n_paths, n_steps=n_steps)
+    return WeakErrorReport(rows=rows)
 
 
 @dataclass

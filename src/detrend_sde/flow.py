@@ -34,8 +34,6 @@ identity jets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import rk
@@ -44,20 +42,6 @@ from .models import DriftSpec
 
 DEFAULT_TOL = 1e-10
 _DET_FLOOR = 1e-12
-
-
-@dataclass
-class FlowJet:
-    """Flow value and derivatives at (t; t0, x)."""
-
-    g: np.ndarray
-    g_star: np.ndarray
-    g_star_inv: np.ndarray
-    det_g_star: float
-    c: np.ndarray
-    t0: float
-    t: float
-    x: np.ndarray
 
 
 def _rhs_jet(drift: DriftSpec, d: int, order: int):
@@ -157,17 +141,6 @@ def flow_jet_many(drift: DriftSpec, t0: float, t1, xs: np.ndarray,
         M = out["g_star_inv"]
         out["c"] = (W @ M[:, None]).swapaxes(2, 3) @ M[:, None]
     return out
-
-
-def flow_jet(drift: DriftSpec, t0: float, t1: float, x: np.ndarray,
-             tol: float = DEFAULT_TOL) -> FlowJet:
-    """Full jet at a single base point."""
-    x = np.asarray(x, dtype=float)
-    jets = flow_jet_many(drift, t0, t1, x[None, :], tol, order=2)
-    return FlowJet(g=jets["g"][0], g_star=jets["g_star"][0],
-                   g_star_inv=jets["g_star_inv"][0],
-                   det_g_star=float(jets["det_g_star"][0]), c=jets["c"][0],
-                   t0=float(t0), t=float(t1), x=x.copy())
 
 
 def inverse_flow_many(drift: DriftSpec, t: float, ys: np.ndarray,

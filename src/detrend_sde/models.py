@@ -52,13 +52,13 @@ class DriftSpec:
 
 @dataclass
 class ModelSpec:
-    """Drift plus bounded perturbation, diffusion and ellipticity constant."""
+    """Drift plus bounded perturbation, diffusion and ellipticity
+    constant; the model's dimension is its drift's."""
 
     drift: DriftSpec
     bounded_drift: Callable[[float, np.ndarray], np.ndarray]
     sigma: Callable[[float, np.ndarray], np.ndarray]
     lambda_: float
-    dim: int
     horizon: float
     x0: np.ndarray
     name: str = ""
@@ -69,8 +69,10 @@ class ModelSpec:
             raise ValueError("ellipticity constant must be >= 1")
         if not self.horizon > 0:
             raise ValueError("horizon must be positive")
-        if self.drift.dim != self.dim:
-            raise ValueError("drift dimension does not match model dimension")
+
+    @property
+    def dim(self) -> int:
+        return self.drift.dim
 
 
 @dataclass
@@ -214,7 +216,7 @@ def _model(drift: DriftSpec, horizon, x0, m0, sigma0, x0_fill: float) -> ModelSp
     s, lam = _resolve_sigma(sigma0, dim)
     x0 = np.full(dim, x0_fill) if x0 is None else np.asarray(x0, dtype=float)
     return ModelSpec(drift=drift, bounded_drift=_constant(_resolve_m0(m0, dim)),
-                     sigma=_constant(s), lambda_=lam, dim=dim,
+                     sigma=_constant(s), lambda_=lam,
                      horizon=float(horizon), x0=x0, name=drift.name)
 
 

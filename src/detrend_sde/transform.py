@@ -120,6 +120,23 @@ class PathEnsemble:
         return self.paths.shape[2]
 
 
+def _uniform_times(T: float, n_steps: int, n_paths: int = 1) -> np.ndarray:
+    """n_steps equal steps on [0, T], the last time T exactly, for
+    n_paths paths; ValueError unless both counts are >= 1."""
+    if n_steps < 1 or n_paths < 1:
+        raise ValueError("n_steps and n_paths must be >= 1")
+    times = np.linspace(0.0, T, n_steps + 1)
+    times[-1] = T
+    return times
+
+
+def _original_coefficients(model: ModelSpec):
+    """(t, X) -> (F + m, sigma), the original SDE's Euler coefficients."""
+    def coeff(t, y):
+        return model.drift.f(t, y) + model.bounded_drift(t, y), model.sigma(t, y)
+    return coeff
+
+
 def _simulate_paths(times: np.ndarray, x0: np.ndarray, n_paths: int, seed: int,
                     coeff_fn, dim: int, noise: str = "normal",
                     store_noise: bool = False):
@@ -154,16 +171,9 @@ def simulate_original(model: ModelSpec, n_steps: int, n_paths: int,
                       seed: int) -> PathEnsemble:
     """Euler scheme for the original SDE on the uniform grid over
     [0, horizon]."""
-    if n_steps < 1 or n_paths < 1:
-        raise ValueError("n_steps and n_paths must be >= 1")
-    times = np.linspace(0.0, model.horizon, n_steps + 1)
-    times[-1] = model.horizon
-
-    def coeff(t, y):
-        return model.drift.f(t, y) + model.bounded_drift(t, y), model.sigma(t, y)
-
+    times = _uniform_times(model.horizon, n_steps, n_paths)
     paths, flagged, _ = _simulate_paths(times, model.x0, n_paths, seed,
-                                        coeff, model.dim)
+                                        _original_coefficients(model), model.dim)
     return PathEnsemble(times=times, paths=paths, seed=seed,
                         scheme=SCHEME_ORIGINAL, flagged=flagged)
 
@@ -179,11 +189,8 @@ def simulate_transformed(tc: TransformedCoefficients, n_steps: int, n_paths: int
     would have taken next.  The coefficients then agree with cold
     evaluate_batch calls to the flow tolerance, not bit for bit.
     """
-    if n_steps < 1 or n_paths < 1:
-        raise ValueError("n_steps and n_paths must be >= 1")
     model = tc.source
-    times = np.linspace(0.0, model.horizon, n_steps + 1)
-    times[-1] = model.horizon
+    times = _uniform_times(model.horizon, n_steps, n_paths)
     g_steps = np.empty((n_paths, n_steps, model.dim))
     columns = iter(g_steps.transpose(1, 0, 2))
     blocks = range(0, n_paths, _COEFF_BLOCK)
@@ -237,8 +244,6 @@ class DiscrepancyTable:
     mean: np.ndarray
     max: np.ndarray
     n_steps: int
-    n_paths: int
-    seed: int
     n_flagged: int
 
     @property
@@ -246,11 +251,12 @@ class DiscrepancyTable:
         return float(self.mean[-1])
 
 
-def pushforward_discrepancy(model: ModelSpec, tc: TransformedCoefficients,
-                            n_steps: int, n_paths: int, seed: int) -> DiscrepancyTable:
-    """Simulate both schemes with shared noise, map the transformed one
-    back, and tabulate ||Y_k - g(t_k; 0, Yt_k)|| over time."""
-    orig = simulate_original(model, n_steps, n_paths, seed)
+def pushforward_discrepancy(tc: TransformedCoefficients, n_steps: int,
+                            n_paths: int, seed: int) -> DiscrepancyTable:
+    """Simulate both schemes of tc.source with shared noise, map the
+    transformed one back, and tabulate ||Y_k - g(t_k; 0, Yt_k)|| over
+    time."""
+    orig = simulate_original(tc.source, n_steps, n_paths, seed)
     trans = simulate_transformed(tc, n_steps, n_paths, seed)
     return _discrepancy_table(orig, map_back(tc, trans))
 
@@ -263,5 +269,5 @@ def _discrepancy_table(orig: PathEnsemble, mapped: PathEnsemble) -> DiscrepancyT
     diff = np.linalg.norm(orig.paths[ok] - mapped.paths[ok], axis=2)
     return DiscrepancyTable(times=orig.times.copy(),
                             mean=diff.mean(axis=0), max=diff.max(axis=0),
-                            n_steps=orig.times.size - 1, n_paths=orig.n_paths,
-                            seed=orig.seed, n_flagged=int((~ok).sum()))
+                            n_steps=orig.times.size - 1,
+                            n_flagged=int((~ok).sum()))

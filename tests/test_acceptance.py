@@ -254,7 +254,7 @@ def test_criterion_08_pushforward_consistency():
     start = time.perf_counter()
     model = builtin_model("sine")
     tc = make_transform(model)
-    tables = [pushforward_discrepancy(model, tc, n, 1000, seed=8)
+    tables = [pushforward_discrepancy(tc, n, 1000, seed=8)
               for n in (512, 1024, 2048)]
     elapsed = time.perf_counter() - start
     means = [t.terminal_mean for t in tables]
@@ -275,7 +275,7 @@ def test_criterion_09_weak_consistency():
         model = builtin_model(name, **kw)
         tc = make_transform(model)
         rep = weak_error_compare(
-            model, tc, 512, 10_000, seed=9,
+            tc, 512, 10_000, seed=9,
             test_functions=[("sq_norm", lambda y: (y ** 2).sum(axis=1))])
         worst_z = max(worst_z, abs(rep.rows[0].z_score))
     passed = worst_z <= WEAK_Z_MAX

@@ -1,5 +1,6 @@
 """Exit codes, config handling, and artifact determinism of the CLI."""
 
+import inspect
 import json
 import subprocess
 import sys
@@ -189,6 +190,24 @@ def test_verify_loose_flow_tol_fails_inverse_jacobian(tmp_path):
     assert failed == ["inverse_jacobian"]
 
 
+def test_verify_jacobian_limit_uses_configured_flow_tol(tmp_path, monkeypatch):
+    # The reference g_star of the jacobian_limit check is solved at
+    # transform.flow_tol, like every other flow check of verify.
+    seen = []
+    check = cli.jacobian_limit_check
+
+    def spy(*args, **kwargs):
+        seen.append(inspect.signature(check).bind(*args, **kwargs).arguments
+                    .get("flow_tol"))
+        return check(*args, **kwargs)
+    monkeypatch.setattr(cli, "jacobian_limit_check", spy)
+    code = main(["verify", "--set", "transform.flow_tol=1e-8",
+                 "--set", 'suite=["assumptions","jacobian_limit"]',
+                 "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    assert seen == [1e-8]
+
+
 def test_linalg_error_exits_4(tmp_path, monkeypatch):
     # LinAlgError subclasses ValueError but is a numerical failure, not
     # a configuration error.
@@ -225,6 +244,13 @@ def test_default_quad_nodes_pass_chain_gates(tmp_path):
 def test_unknown_key_exits_2(tmp_path, capsys):
     assert main(["verify", "--set", "model.bogus=1",
                  "--out", str(tmp_path)]) == EXIT_CONFIG
+
+
+def test_partition_horizon_key_is_unknown(tmp_path, capsys):
+    # The chain partition always spans the model horizon.
+    assert main(["transform-chain", *FAST_CHAIN, "--set", "partition.T=1.0",
+                 "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "unknown keys in partition: ['T']" in capsys.readouterr().err
 
 
 def test_bad_quad_nodes_exits_2(tmp_path):

@@ -45,7 +45,7 @@ def test_scan_fails_when_bound_understated():
                       hess=good.drift.hess, m_f=0.1, dim=1,
                       name="understated")
     model = ModelSpec(drift=lying, bounded_drift=good.bounded_drift,
-                      sigma=good.sigma, lambda_=good.lambda_, dim=1,
+                      sigma=good.sigma, lambda_=good.lambda_,
                       horizon=1.0, x0=good.x0, name="lying")
     scan = boundedness_scan(make_transform(model), n_samples=16, seed=0)
     assert not scan.passed
@@ -59,7 +59,7 @@ def test_scan_bounds_m_where_m_tilde_evaluates_it():
     base = builtin_model("linear", b=1.0)
     model = ModelSpec(drift=base.drift,
                       bounded_drift=lambda t, x: np.exp(-(x - 6.8) ** 2),
-                      sigma=base.sigma, lambda_=base.lambda_, dim=1,
+                      sigma=base.sigma, lambda_=base.lambda_,
                       horizon=1.0, x0=base.x0, name="bump")
     scan = boundedness_scan(make_transform(model), n_samples=32, seed=0)
     entry = scan.checks["m_tilde_bound"]
@@ -141,7 +141,7 @@ def test_scan_report_round_trips_through_json():
 def test_weak_error_independent_seeds_reasonable():
     model = builtin_model("linear", b=0.5, m0=0.3, sigma0=0.8)
     tc = make_transform(model)
-    rep = weak_error_compare(model, tc, 64, 2000, seed=42,
+    rep = weak_error_compare(tc, 64, 2000, seed=42,
                              test_functions=[("sq", lambda y: (y ** 2).sum(axis=1)),
                                              ("first", lambda y: y[:, 0])])
     for row in rep.rows:
@@ -178,10 +178,10 @@ def test_strong_order_estimate_noiseless_euler():
     def no_noise(t, x):
         return np.zeros(x.shape[:-1] + (1, 1))
     model = ModelSpec(drift=base.drift, bounded_drift=base.bounded_drift,
-                      sigma=no_noise, lambda_=base.lambda_, dim=1,
+                      sigma=no_noise, lambda_=base.lambda_,
                       horizon=base.horizon, x0=base.x0, name="noiseless")
     tc = make_transform(model)
-    tables = [pushforward_discrepancy(model, tc, n, 2, seed=0)
+    tables = [pushforward_discrepancy(tc, n, 2, seed=0)
               for n in (16, 32, 64)]
     tab = strong_order_estimate(tables)
     assert 0.8 <= tab.slope <= 1.2
@@ -190,7 +190,7 @@ def test_strong_order_estimate_noiseless_euler():
 def test_zero_drift_discrepancy_degenerate():
     model = builtin_model("zero_drift", dim=1)
     tc = make_transform(model)
-    tables = [pushforward_discrepancy(model, tc, n, 3, seed=1)
+    tables = [pushforward_discrepancy(tc, n, 3, seed=1)
               for n in (8, 16, 32)]
     assert all(t.terminal_mean == 0.0 for t in tables)
     tab = strong_order_estimate(tables)

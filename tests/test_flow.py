@@ -10,8 +10,8 @@ from scipy.linalg import expm
 
 from detrend_sde import (DriftSpec, FlowIntegrationError,
                          SingularJacobianError, advance_flow,
-                         advance_flow_many, builtin_model, flow, flow_jet,
-                         flow_jet_many, flow_time_derivatives, inverse_flow,
+                         advance_flow_many, builtin_model, flow, flow_jet_many,
+                         flow_time_derivatives, inverse_flow,
                          inverse_flow_many, rk)
 from detrend_sde.sampling import sample_box, sample_time_box
 from tests._oracles import (c_tensor, jet_rhs, rk4, sine_fields, swap_fields,
@@ -31,11 +31,11 @@ def test_zero_drift_flow_is_identity():
     drift = builtin_model("zero_drift", dim=3).drift
     x = np.array([[0.2, -1.0, 4.0]])
     assert np.array_equal(advance_flow_many(drift, 0.0, 0.8, x), x)
-    jet = flow_jet(drift, 0.0, 0.8, x[0])
-    assert np.array_equal(jet.g_star, np.eye(3))
-    assert np.array_equal(jet.g_star_inv, np.eye(3))
-    assert np.all(jet.c == 0.0)
-    assert jet.det_g_star == 1.0
+    jet = flow_jet_many(drift, 0.0, 0.8, x)
+    assert np.array_equal(jet["g_star"][0], np.eye(3))
+    assert np.array_equal(jet["g_star_inv"][0], np.eye(3))
+    assert np.all(jet["c"][0] == 0.0)
+    assert jet["det_g_star"][0] == 1.0
 
 
 def test_linear_flow_matches_expm():
@@ -44,34 +44,35 @@ def test_linear_flow_matches_expm():
     x = np.array([0.7, -1.1, 0.4])
     t = 0.9
     phi = expm(t * b)
-    jet = flow_jet(drift, 0.0, t, x)
-    assert_allclose(jet.g, phi @ x, rtol=1e-10, atol=1e-12)
-    assert_allclose(jet.g_star, phi, rtol=1e-10, atol=1e-12)
-    assert_allclose(jet.g_star_inv, expm(-t * b), rtol=1e-10, atol=1e-12)
-    assert_allclose(jet.det_g_star, np.exp(t * np.trace(b)), rtol=1e-10)
+    jet = flow_jet_many(drift, 0.0, t, x[None])
+    assert_allclose(jet["g"][0], phi @ x, rtol=1e-10, atol=1e-12)
+    assert_allclose(jet["g_star"][0], phi, rtol=1e-10, atol=1e-12)
+    assert_allclose(jet["g_star_inv"][0], expm(-t * b), rtol=1e-10, atol=1e-12)
+    assert_allclose(jet["det_g_star"][0], np.exp(t * np.trace(b)), rtol=1e-10)
     # Linear flows carry no curvature.
-    assert np.abs(jet.c).max() <= 1e-12
+    assert np.abs(jet["c"][0]).max() <= 1e-12
 
 
 def test_sine2_jet_frozen_values():
     drift = builtin_model("sine", alpha=0.8, beta=1.3, dim=2).drift
-    jet = flow_jet(drift, 0.0, SINE2_T, SINE2_X)
-    assert_allclose(jet.g, FROZEN["sine2_y"], rtol=JET_RTOL)
-    assert_allclose(jet.g_star, FROZEN["sine2_g_star"], rtol=JET_RTOL, atol=JET_ATOL)
-    assert_allclose(jet.g_star_inv, FROZEN["sine2_g_star_inv"], rtol=JET_RTOL,
+    jet = flow_jet_many(drift, 0.0, SINE2_T, SINE2_X[None])
+    assert_allclose(jet["g"][0], FROZEN["sine2_y"], rtol=JET_RTOL)
+    assert_allclose(jet["g_star"][0], FROZEN["sine2_g_star"], rtol=JET_RTOL,
                     atol=JET_ATOL)
-    assert_allclose(jet.c, FROZEN["sine2_c"], rtol=JET_RTOL, atol=JET_ATOL)
-    assert_allclose(jet.det_g_star, FROZEN["sine2_det"], rtol=JET_RTOL)
+    assert_allclose(jet["g_star_inv"][0], FROZEN["sine2_g_star_inv"],
+                    rtol=JET_RTOL, atol=JET_ATOL)
+    assert_allclose(jet["c"][0], FROZEN["sine2_c"], rtol=JET_RTOL, atol=JET_ATOL)
+    assert_allclose(jet["det_g_star"][0], FROZEN["sine2_det"], rtol=JET_RTOL)
 
 
 def test_swap2_jet_frozen_values():
     drift = make_swap_drift()
-    jet = flow_jet(drift, 0.0, SWAP2_T, SWAP2_X)
-    assert_allclose(jet.g, FROZEN["swap2_y"], rtol=JET_RTOL)
-    assert_allclose(jet.g_star, FROZEN["swap2_g_star"], rtol=JET_RTOL)
-    assert_allclose(jet.c, FROZEN["swap2_c"], rtol=1e-8, atol=1e-10)
+    jet = flow_jet_many(drift, 0.0, SWAP2_T, SWAP2_X[None])
+    assert_allclose(jet["g"][0], FROZEN["swap2_y"], rtol=JET_RTOL)
+    assert_allclose(jet["g_star"][0], FROZEN["swap2_g_star"], rtol=JET_RTOL)
+    assert_allclose(jet["c"][0], FROZEN["swap2_c"], rtol=1e-8, atol=1e-10)
     # Zero-diagonal Jacobian: volume is exactly conserved.
-    assert_allclose(jet.det_g_star, 1.0, rtol=1e-10)
+    assert_allclose(jet["det_g_star"][0], 1.0, rtol=1e-10)
 
 
 def test_flow_jet_many_matches_single(sine2_model):
@@ -81,10 +82,11 @@ def test_flow_jet_many_matches_single(sine2_model):
     # Batch error control couples the step sequence across points, so
     # agreement is at integration accuracy rather than bitwise.
     for i, x in enumerate(xs):
-        jet = flow_jet(drift, 0.0, 0.6, x)
-        assert_allclose(batch["g"][i], jet.g, rtol=1e-9, atol=1e-12)
-        assert_allclose(batch["g_star"][i], jet.g_star, rtol=1e-9, atol=1e-12)
-        assert_allclose(batch["c"][i], jet.c, rtol=1e-8, atol=1e-11)
+        jet = flow_jet_many(drift, 0.0, 0.6, x[None])
+        assert_allclose(batch["g"][i], jet["g"][0], rtol=1e-9, atol=1e-12)
+        assert_allclose(batch["g_star"][i], jet["g_star"][0], rtol=1e-9,
+                        atol=1e-12)
+        assert_allclose(batch["c"][i], jet["c"][0], rtol=1e-8, atol=1e-11)
 
 
 def test_inverse_then_forward_roundtrip(sine2_model):
@@ -110,8 +112,9 @@ def test_semigroup_property(sine2_model):
 
 
 def test_jacobian_inverse_consistency(sine2_model):
-    jet = flow_jet(sine2_model.drift, 0.0, 0.9, np.array([0.5, 0.1]))
-    assert_allclose(jet.g_star @ jet.g_star_inv, np.eye(2), atol=1e-10)
+    jet = flow_jet_many(sine2_model.drift, 0.0, 0.9, np.array([[0.5, 0.1]]))
+    assert_allclose(jet["g_star"][0] @ jet["g_star_inv"][0], np.eye(2),
+                    atol=1e-10)
 
 
 def test_first_order_jets_match_full(sine2_model):
@@ -134,12 +137,12 @@ def test_c_tensor_symmetry(swap_drift):
 def test_quadratic_flow_closed_form():
     drift = quadratic_drift()
     t, x = 0.3, 0.4
-    jet = flow_jet(drift, 0.0, t, np.array([x]))
+    jet = flow_jet_many(drift, 0.0, t, np.array([[x]]))
     u = 1.0 - t * x
-    assert_allclose(jet.g, [x / u], rtol=1e-10)
-    assert_allclose(jet.g_star, [[1.0 / u ** 2]], rtol=1e-10)
+    assert_allclose(jet["g"][0], [x / u], rtol=1e-10)
+    assert_allclose(jet["g_star"][0], [[1.0 / u ** 2]], rtol=1e-10)
     # Inverse-map curvature for F = x^2 collapses to 2 t (1 - t x).
-    assert_allclose(jet.c, [[[2.0 * t * u]]], rtol=1e-9)
+    assert_allclose(jet["c"][0], [[[2.0 * t * u]]], rtol=1e-9)
 
 
 def test_time_derivatives_match_fd(sine2_model):
@@ -190,7 +193,7 @@ def test_liouville_two_routes_agree(sine2_model):
 def test_strong_contraction_flags_singular_jacobian():
     drift = builtin_model("linear", b=-5.0).drift
     with pytest.raises(SingularJacobianError):
-        flow_jet(drift, 0.0, 6.0, np.array([1.0]))
+        flow_jet_many(drift, 0.0, 6.0, np.array([[1.0]]))
 
 
 def test_finite_time_blowup_reports_progress():

@@ -85,7 +85,7 @@ def test_declared_bound_too_small_fails():
     bad_drift = DriftSpec(f=good.drift.f, jac=good.drift.jac,
                           hess=good.drift.hess, m_f=0.5, dim=1)
     bad = ModelSpec(drift=bad_drift, bounded_drift=good.bounded_drift,
-                    sigma=good.sigma, lambda_=good.lambda_, dim=1,
+                    sigma=good.sigma, lambda_=good.lambda_,
                     horizon=good.horizon, x0=good.x0, name="bad")
     report = check_assumptions(bad)
     assert not report.passed
@@ -101,7 +101,7 @@ def test_degenerate_diffusion_fails():
         s[..., 0, 0] = 1.0
         return s
     bad = ModelSpec(drift=base.drift, bounded_drift=base.bounded_drift,
-                    sigma=sigma, lambda_=base.lambda_, dim=2,
+                    sigma=sigma, lambda_=base.lambda_,
                     horizon=1.0, x0=base.x0, name="degenerate")
     report = check_assumptions(bad)
     assert not report.entries["a1"].passed
@@ -125,7 +125,7 @@ def test_nonfinite_drift_reports_location():
     drift = DriftSpec(f=f, jac=jac, hess=hess, m_f=1.0, dim=1)
     base = builtin_model("zero_drift", dim=1)
     m = ModelSpec(drift=drift, bounded_drift=base.bounded_drift,
-                  sigma=base.sigma, lambda_=base.lambda_, dim=1,
+                  sigma=base.sigma, lambda_=base.lambda_,
                   horizon=1.0, x0=np.zeros(1), name="nanny")
     report = check_assumptions(m)
     assert not report.passed
@@ -166,7 +166,7 @@ def _swap_model():
     base = builtin_model("zero_drift", dim=2, sigma0=[[1.0, 0.3], [0.2, 0.9]])
     return ModelSpec(drift=make_swap_drift(),
                      bounded_drift=lambda t, x: (0.5 + 0.1 * t) * np.cos(x),
-                     sigma=base.sigma, lambda_=base.lambda_, dim=2,
+                     sigma=base.sigma, lambda_=base.lambda_,
                      horizon=1.0, x0=np.array([0.3, -0.1]), name="swap")
 
 
@@ -226,7 +226,7 @@ def test_nonfinite_entries_report_first_sample_in_sample_order():
         out[x[:, 1] > 1.0] = np.inf
         return out
     model = ModelSpec(drift=base.drift, bounded_drift=m, sigma=sigma,
-                      lambda_=base.lambda_, dim=2, horizon=1.0,
+                      lambda_=base.lambda_, horizon=1.0,
                       x0=base.x0, name="two_faults")
     ts, xs = _check_samples(model)
     bad_sigma = xs[:, 0] > 1.0

@@ -40,7 +40,7 @@ def test_quadratic_closed_form_fixes_correction_sign():
     drift = quadratic_drift()
     base = builtin_model("zero_drift", dim=1, m0=0.5, sigma0=1.0)
     model = ModelSpec(drift=drift, bounded_drift=base.bounded_drift,
-                      sigma=base.sigma, lambda_=base.lambda_, dim=1,
+                      sigma=base.sigma, lambda_=base.lambda_,
                       horizon=0.4, x0=np.array([0.4]), name="quadratic")
     tc = make_transform(model)
     t, x = 0.3, 0.4
@@ -56,7 +56,7 @@ def test_single_point_failure_keeps_its_context():
     # with t_reached intact.
     base = builtin_model("zero_drift", dim=1)
     model = ModelSpec(drift=quadratic_drift(), bounded_drift=base.bounded_drift,
-                      sigma=base.sigma, lambda_=base.lambda_, dim=1,
+                      sigma=base.sigma, lambda_=base.lambda_,
                       horizon=1.0, x0=np.array([0.0]), name="quadratic")
     tc = make_transform(model)
     with pytest.raises(FlowIntegrationError) as exc:
@@ -82,7 +82,7 @@ def test_swap2_frozen_coefficients():
         s = np.array([[0.9, 0.2], [0.0, 1.1]])
         return np.broadcast_to(s, y.shape[:-1] + (2, 2)).copy()
     model = ModelSpec(drift=drift, bounded_drift=m_fn, sigma=s_fn,
-                      lambda_=2.0, dim=2, horizon=1.0,
+                      lambda_=2.0, horizon=1.0,
                       x0=np.zeros(2), name="swap")
     tc = make_transform(model)
     m_t, s_t = tc.evaluate_batch(SWAP2_T, SWAP2_X[None, :])
@@ -137,7 +137,7 @@ def test_map_back_undoes_the_coordinate_change(sine1_model):
 
 def test_pushforward_discrepancy_decreases(sine1_model):
     tc = make_transform(sine1_model)
-    tables = [pushforward_discrepancy(sine1_model, tc, n, 40, seed=0)
+    tables = [pushforward_discrepancy(tc, n, 40, seed=0)
               for n in (16, 32, 64)]
     means = [t.terminal_mean for t in tables]
     assert means[0] > means[1] > means[2]
@@ -149,7 +149,7 @@ def test_pushforward_matches_explicit_map_back(sine1_model):
     # pushforward_discrepancy reuses the g of the coefficient solves
     # (g_steps) in place of map_back; both are the flow to its tolerance.
     tc = make_transform(sine1_model)
-    tab = pushforward_discrepancy(sine1_model, tc, 24, 7, seed=4)
+    tab = pushforward_discrepancy(tc, 24, 7, seed=4)
     orig = simulate_original(sine1_model, 24, 7, seed=4)
     trans = simulate_transformed(tc, 24, 7, seed=4)
     mapped = map_back(tc, trans)
@@ -176,7 +176,7 @@ def test_overflowing_paths_are_flagged():
     drift = quadratic_drift()
     base = builtin_model("zero_drift", dim=1, m0=0.0, sigma0=1.0)
     model = ModelSpec(drift=drift, bounded_drift=base.bounded_drift,
-                      sigma=base.sigma, lambda_=base.lambda_, dim=1,
+                      sigma=base.sigma, lambda_=base.lambda_,
                       horizon=1.0, x0=np.array([3.0]), name="blowup")
     orig = simulate_original(model, 64, 8, seed=0)
     assert orig.flagged.all()

@@ -19,7 +19,7 @@ from scipy.linalg import expm
 
 import detrend_sde
 from detrend_sde import FlowIntegrationError, normal_block, rademacher_block
-from detrend_sde import (chain, diagnostics, flow, models, parallel, rk,
+from detrend_sde import (chain, cli, diagnostics, flow, models, parallel, rk,
                          transform)
 from detrend_sde.sampling import _primes, sample_box, sample_time_box
 
@@ -125,7 +125,18 @@ def test_public_surface():
             (models.AssumptionReport, "plan"),
             (models.AssumptionReport, "tolerance"),
             (models.AssumptionReport, "k_constant"),
-            (chain.BrokenLine, "base"), (chain.TransformedChainRun, "source")]
+            (chain.BrokenLine, "base"), (chain.TransformedChainRun, "source"),
+            (flow, "FlowJet"), (flow, "flow_jet"),
+            (detrend_sde, "FlowJet"), (detrend_sde, "flow_jet"),
+            (chain.TransformedChainRun, "partition"),
+            (chain.TransformedChainRun, "seed"),
+            (chain.TransformedChainRun, "quad_nodes"),
+            (chain.BrokenLine, "partition"),
+            (transform.DiscrepancyTable, "n_paths"),
+            (transform.DiscrepancyTable, "seed"),
+            (diagnostics.WeakErrorReport, "n_paths"),
+            (diagnostics.WeakErrorReport, "n_steps"),
+            (cli.PartitionConfig, "T")]
     for owner, name in gone:
         assert name not in names
         assert not hasattr(owner, name), name
@@ -135,7 +146,11 @@ def test_public_surface():
                        (models.check_assumptions, "tol"),
                        (models.check_assumptions, "plan"),
                        (diagnostics.boundedness_scan, "box"),
-                       (diagnostics.weak_error_compare, "shared_noise")):
+                       (diagnostics.weak_error_compare, "shared_noise"),
+                       (diagnostics.weak_error_compare, "model"),
+                       (transform.pushforward_discrepancy, "model"),
+                       (models.ModelSpec, "dim"),
+                       (chain.Partition, "steps")):
         assert option not in inspect.signature(fn).parameters, option
 
 
