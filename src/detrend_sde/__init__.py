@@ -24,9 +24,8 @@ from .chain import (BrokenLine, ChainRun, Partition, TransformedChainRun,
                     broken_line, inverse_jacobian_product,
                     invert_broken_line, jacobian_limit_check, make_partition,
                     product_jacobian, simulate_chain, transform_chain)
-from .diagnostics import (ConvergenceTable, ScanReport, WeakErrorReport,
-                          boundedness_scan, strong_order_estimate,
-                          weak_error_compare)
+from .diagnostics import (ConvergenceTable, ScanReport, boundedness_scan,
+                          strong_order_estimate, weak_error_compare)
 from .errors import (AssumptionError, ConfigError, DetrendError,
                      FlowIntegrationError, InversionError,
                      SingularJacobianError)
@@ -48,9 +47,9 @@ __all__ = [
     "DriftSpec", "FlowIntegrationError", "InversionError",
     "ModelSpec", "Partition", "PathEnsemble", "ScanReport",
     "SingularJacobianError", "TransformedChainRun", "TransformedCoefficients",
-    "WeakErrorReport", "advance_flow", "advance_flow_many",
-    "boundedness_scan", "broken_line", "builtin_model", "check_assumptions",
-    "flow_jet_many", "flow_time_derivatives", "inverse_flow",
+    "advance_flow", "advance_flow_many", "boundedness_scan", "broken_line",
+    "builtin_model", "check_assumptions", "flow_jet_many",
+    "flow_time_derivatives", "inverse_flow",
     "inverse_flow_many", "inverse_jacobian_product", "invert_broken_line",
     "jacobian_limit_check", "list_builtin_models",
     "make_partition", "make_transform", "map_back", "normal_block",

@@ -120,7 +120,6 @@ class BrokenLine:
 
     values: np.ndarray
     jacobians: np.ndarray
-    drift: DriftSpec
     layers: np.ndarray
 
 
@@ -145,14 +144,13 @@ def broken_line(drift: DriftSpec, partition: Partition, x: np.ndarray) -> Broken
         values[k + 1] = values[k] + h * fk
         jacs[k + 1] = np.eye(d) + acc
         layers[k] = np.eye(d) + h * jk
-    return BrokenLine(values=values, jacobians=jacs, drift=drift,
-                      layers=layers)
+    return BrokenLine(values=values, jacobians=jacs, layers=layers)
 
 
 def product_jacobian(bl: BrokenLine, k: int) -> np.ndarray:
     """Ordered product A_{k-1} ... A_0; equals jacobians[k] in exact
     arithmetic."""
-    P = np.eye(bl.drift.dim)
+    P = np.eye(bl.layers.shape[-1])
     for A in bl.layers[:k]:
         P = A @ P
     return P
@@ -161,7 +159,7 @@ def product_jacobian(bl: BrokenLine, k: int) -> np.ndarray:
 def inverse_jacobian_product(bl: BrokenLine, k: int) -> np.ndarray:
     """Ordered product A_0^{-1} ... A_{k-1}^{-1}, the inverse of
     jacobians[k] computed without ever forming it."""
-    Q = np.eye(bl.drift.dim)
+    Q = np.eye(bl.layers.shape[-1])
     for A in bl.layers[:k][::-1]:
         Q = solve_small(A, Q)
     return Q
@@ -359,7 +357,6 @@ class ChainRun:
     innovations: np.ndarray
     seed: int
     flagged: np.ndarray
-    innovation_kind: str = "normal"
 
 
 def simulate_chain(model: ModelSpec, partition: Partition, n_paths: int,
@@ -374,7 +371,7 @@ def simulate_chain(model: ModelSpec, partition: Partition, n_paths: int,
         partition.times, model.x0, n_paths, seed, _original_coefficients(model),
         model.dim, noise=innovation, store_noise=True)
     return ChainRun(partition=partition, states=paths, innovations=noises,
-                    seed=seed, flagged=flagged, innovation_kind=innovation)
+                    seed=seed, flagged=flagged)
 
 
 @dataclass

@@ -46,6 +46,11 @@ EXIT_ASSUMPTION = 3
 EXIT_NUMERICAL = 4
 EXIT_INVERSION = 5
 
+# The chain gates: reconstruction gh(t_k; 0, Xt_k) = X_k and the
+# one-step identity, both as largest residuals over the finite paths.
+RECONSTRUCTION_GATE = 1e-8
+IDENTITY_GATE = 1e-9
+
 ALL_CHECKS = [
     "assumptions", "flow_roundtrip", "flow_semigroup", "inverse_jacobian",
     "liouville", "time_derivatives", "boundedness", "telescoping",
@@ -75,7 +80,18 @@ def _n_steps(v):
         return int(v)
     if not v:
         raise ConfigError("simulation.n_steps must not be empty")
-    return [int(s) for s in v]
+    steps = [int(s) for s in v]
+    if len(set(steps)) < len(steps):
+        raise ConfigError(f"simulation.n_steps must not repeat an entry, got {steps}")
+    return steps
+
+
+def _choice(key: str, options: tuple):
+    def cast(v):
+        if v not in options:
+            raise ConfigError(f"{key} must be one of {list(options)}, got {v!r}")
+        return v
+    return cast
 
 
 def _tolerance(key: str):
@@ -121,7 +137,8 @@ class PartitionConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PartitionConfig":
-        return _section(cls, d, "partition", n=int, c=float)
+        return _section(cls, d, "partition", n=int, c=float,
+                        kind=_choice("partition.kind", ("uniform", "geometric")))
 
 
 @dataclass
@@ -134,7 +151,9 @@ class SimulationConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "SimulationConfig":
         return _section(cls, d, "simulation", n_steps=_n_steps, n_paths=int,
-                        seed=int)
+                        seed=int,
+                        innovation=_choice("simulation.innovation",
+                                           ("normal", "rademacher")))
 
 
 @dataclass
@@ -335,14 +354,31 @@ def cmd_transform_sde(cfg: ExperimentConfig) -> int:
     return EXIT_OK if scan.passed and decreasing else EXIT_NUMERICAL
 
 
+def _chain_gates(cfg: ExperimentConfig, model, part, n_paths: int):
+    """Simulate and detrend the configured chain on part with n_paths
+    paths: the configured seed, innovation, quadrature rule and
+    inversion tolerance.  Returns the run, its transform, the mask of
+    paths that stayed finite, and the largest reconstruction and
+    one-step identity residuals over them, which RECONSTRUCTION_GATE
+    and IDENTITY_GATE bound.  Raises FlowIntegrationError when every
+    path diverged."""
+    run = simulate_chain(model, part, n_paths, cfg.simulation.seed,
+                         innovation=cfg.simulation.innovation)
+    tr = transform_chain(model, part, run, quad_nodes=cfg.transform.quad_nodes,
+                         inversion_tol=cfg.transform.inversion_tol)
+    ok = ~tr.flagged
+    if not ok.any():
+        raise FlowIntegrationError("all chain paths diverged", part.horizon)
+    return (run, tr, ok, float(np.nanmax(tr.reconstruction_residuals[ok])),
+            float(np.nanmax(tr.identity_residuals[ok])))
+
+
 def cmd_transform_chain(cfg: ExperimentConfig) -> int:
     model = _build_model(cfg)
     part = make_partition(cfg.partition.n, cfg.partition.kind,
                           T=model.horizon, c=cfg.partition.c)
-    run = simulate_chain(model, part, cfg.simulation.n_paths,
-                         cfg.simulation.seed, innovation=cfg.simulation.innovation)
-    tr = transform_chain(model, part, run, quad_nodes=cfg.transform.quad_nodes,
-                         inversion_tol=cfg.transform.inversion_tol)
+    run, tr, ok, recon, ident = _chain_gates(cfg, model, part,
+                                             cfg.simulation.n_paths)
     out = Path(cfg.output.dir)
     out.mkdir(parents=True, exist_ok=True)
     d = model.dim
@@ -352,9 +388,6 @@ def cmd_transform_chain(cfg: ExperimentConfig) -> int:
     _write_csv(out / "chain_transformed.csv", cfg, header,
                _path_rows(part.times, tr.states, "transformed"))
 
-    ok = ~tr.flagged
-    if not ok.any():
-        raise FlowIntegrationError("all chain paths diverged", part.times[-1])
     m_sup = np.linalg.norm(tr.m_coeffs[ok], axis=2).max(axis=0)
     s_sup = _spectral_norms(tr.sigma_coeffs[ok]).max(axis=0)
     id_max = np.nanmax(tr.identity_residuals[ok], axis=0)
@@ -367,8 +400,6 @@ def cmd_transform_chain(cfg: ExperimentConfig) -> int:
             yield [k, part.times[k], m_sup[k], s_sup[k], id_max[k], rec_max[k + 1]]
     _write_csv(out / "chain_coefficients.csv", cfg, coeff_header, coeff_rows())
 
-    recon = float(np.nanmax(tr.reconstruction_residuals[ok]))
-    ident = float(np.nanmax(tr.identity_residuals[ok]))
     summary = {
         "model": cfg.model.name,
         "partition": {"kind": cfg.partition.kind, "n": part.n,
@@ -383,10 +414,15 @@ def cmd_transform_chain(cfg: ExperimentConfig) -> int:
         "m_tilde_sup": float(m_sup.max()),
         "sigma_tilde_sup": float(s_sup.max()),
     }
-    passed = recon <= 1e-8 and ident <= 1e-9
+    passed = recon <= RECONSTRUCTION_GATE and ident <= IDENTITY_GATE
     summary["passed"] = passed
     _write_json(out / "chain_summary.json", cfg, summary)
     return EXIT_OK if passed else EXIT_NUMERICAL
+
+
+def _at_most(name: str, category: str, measured: float, tolerance: float):
+    """A verify result that passes when measured <= tolerance (NaN fails)."""
+    return name, category, measured <= tolerance, measured, tolerance
 
 
 def _verify_checks(cfg: ExperimentConfig):
@@ -414,7 +450,7 @@ def _verify_checks(cfg: ExperimentConfig):
             x = inverse_flow(drift, float(t), y, tol)
             back = advance_flow(drift, 0.0, float(t), x, tol)
             worst = max(worst, float(np.linalg.norm(back - y) / (1.0 + np.linalg.norm(y))))
-        yield ("flow_roundtrip", "numeric", worst <= 1e-7, worst, 1e-7)
+        yield _at_most("flow_roundtrip", "numeric", worst, 1e-7)
 
     if "flow_semigroup" in wanted:
         xs = sample_box(lo, hi, 10, seed + 2)
@@ -422,20 +458,20 @@ def _verify_checks(cfg: ExperimentConfig):
         two = advance_flow_many(drift, T / 2.0, T, mid, tol)
         one = advance_flow_many(drift, 0.0, T, xs, tol)
         worst = float(np.linalg.norm(two - one, axis=1).max())
-        yield ("flow_semigroup", "numeric", worst <= 1e-7, worst, 1e-7)
+        yield _at_most("flow_semigroup", "numeric", worst, 1e-7)
 
     if "inverse_jacobian" in wanted:
         xs = sample_box(lo, hi, 10, seed + 3)
         jets = flow_jet_many(drift, 0.0, T, xs, tol)
         worst = float(np.abs(jets["g_star"] @ jets["g_star_inv"] - np.eye(d)).max())
-        yield ("inverse_jacobian", "numeric", worst <= 1e-8, worst, 1e-8)
+        yield _at_most("inverse_jacobian", "numeric", worst, 1e-8)
 
     if "liouville" in wanted:
         ts, xs = sample_time_box((T / 50.0, T), lo, hi, 15, seed + 4)
         jets = flow_jet_many(drift, 0.0, ts, xs, tol, order=1)
         dd, dl = jets["det_g_star"], np.exp(jets["trace_integral"])
         worst = float((np.abs(dd - dl) / np.maximum(np.abs(dl), 1e-30)).max())
-        yield ("liouville", "numeric", worst <= 1e-7, worst, 1e-7)
+        yield _at_most("liouville", "numeric", worst, 1e-7)
 
     if "time_derivatives" in wanted:
         ts, xs = sample_time_box((T / 10.0, T), lo, hi, 10, seed + 5)
@@ -449,7 +485,7 @@ def _verify_checks(cfg: ExperimentConfig):
                    - inverse_flow(drift, t - step, y, tol)) / (2 * step)
             num = float(np.linalg.norm(fd7 - d7))
             worst = max(worst, num / max(np.linalg.norm(d7), 1e-12))
-        yield ("time_derivatives", "numeric", worst <= 1e-4, worst, 1e-4)
+        yield _at_most("time_derivatives", "numeric", worst, 1e-4)
 
     if "boundedness" in wanted:
         tc = make_transform(model, flow_tol=tol)
@@ -463,7 +499,7 @@ def _verify_checks(cfg: ExperimentConfig):
 
     if "telescoping" in wanted:
         diff = float(np.abs(bl.jacobians[part.n] - product_jacobian(bl, part.n)).max())
-        yield ("telescoping", "numeric", diff <= 1e-12, diff, 1e-12)
+        yield _at_most("telescoping", "numeric", diff, 1e-12)
 
     if "gronwall" in wanted:
         norms = np.linalg.norm(bl.jacobians, axis=(1, 2))
@@ -474,27 +510,21 @@ def _verify_checks(cfg: ExperimentConfig):
     if "inverse_product" in wanted:
         diff = float(np.abs(inverse_jacobian_product(bl, part.n)
                             - np.linalg.inv(bl.jacobians[part.n])).max())
-        yield ("inverse_product", "numeric", diff <= 1e-10, diff, 1e-10)
+        yield _at_most("inverse_product", "numeric", diff, 1e-10)
 
     if "chain_reconstruction" in wanted or "chain_identity" in wanted:
-        n_paths = min(cfg.simulation.n_paths, 16)
         try:
-            run = simulate_chain(model, part, n_paths, seed)
-            tr = transform_chain(model, part, run,
-                                 quad_nodes=max(cfg.transform.quad_nodes, 8),
-                                 inversion_tol=cfg.transform.inversion_tol)
-            ok = ~tr.flagged
-            if "chain_reconstruction" in wanted:
-                worst = float(np.nanmax(tr.reconstruction_residuals[ok]))
-                yield ("chain_reconstruction", "inversion", worst <= 1e-8, worst, 1e-8)
-            if "chain_identity" in wanted:
-                worst = float(np.nanmax(tr.identity_residuals[ok]))
-                yield ("chain_identity", "numeric", worst <= 1e-9, worst, 1e-9)
+            *_, recon, ident = _chain_gates(
+                cfg, model, part, min(cfg.simulation.n_paths, 16))
+            id_category = "numeric"
         except InversionError:
-            if "chain_reconstruction" in wanted:
-                yield ("chain_reconstruction", "inversion", False, np.inf, 1e-8)
-            if "chain_identity" in wanted:
-                yield ("chain_identity", "inversion", False, np.inf, 1e-9)
+            recon = ident = np.inf
+            id_category = "inversion"
+        if "chain_reconstruction" in wanted:
+            yield _at_most("chain_reconstruction", "inversion", recon,
+                           RECONSTRUCTION_GATE)
+        if "chain_identity" in wanted:
+            yield _at_most("chain_identity", id_category, ident, IDENTITY_GATE)
 
     if "jacobian_limit" in wanted:
         if drift.m_f == 0.0:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -21,19 +21,12 @@ class SupEntry:
     at_t: float
     at_x: list
 
-    def to_dict(self) -> dict:
-        return {"value": self.value, "at_t": self.at_t, "at_x": self.at_x}
-
 
 @dataclass
 class CheckEntry:
     passed: bool
     measured: float
     bound: float
-
-    def to_dict(self) -> dict:
-        return {"passed": bool(self.passed), "measured": self.measured,
-                "bound": self.bound}
 
 
 @dataclass
@@ -56,15 +49,7 @@ class ScanReport:
         return all(c.passed for c in self.checks.values())
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "t_span": [float(self.t_span[0]), float(self.t_span[1])],
-            "lo": self.lo, "hi": self.hi,
-            "n_samples": self.n_samples, "seed": self.seed,
-            "passed": self.passed,
-            "sups": {k: v.to_dict() for k, v in self.sups.items()},
-            "checks": {k: v.to_dict() for k, v in self.checks.items()},
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def _sup(values, ts, xs) -> SupEntry:
@@ -91,7 +76,7 @@ def boundedness_scan(target, n_samples: int = 256,
         raise TypeError("target must be TransformedCoefficients")
     model = target.source
     lo, hi = _sampling_box(model)
-    t_span = (0.0, model.horizon)
+    t_span = (0.0, float(model.horizon))
     ts, xs = sample_time_box(t_span, lo, hi, n_samples, seed, include_ends=True)
 
     mt, st, jets = target.evaluate_batch(ts, xs, return_jets=True)
@@ -125,12 +110,13 @@ def boundedness_scan(target, n_samples: int = 256,
     slack = 1.0 + 1e-9
 
     def upper(measured, bound):
-        return CheckEntry(measured <= bound * slack, float(measured), float(bound))
+        return CheckEntry(bool(measured <= bound * slack), float(measured),
+                          float(bound))
 
     def lower(measured, bound):
         # Both lower bounds are of positive quantities; an underflowed
         # bound must not pass a zero.
-        return CheckEntry(measured >= bound / slack and measured > 0,
+        return CheckEntry(bool(measured >= bound / slack and measured > 0),
                           float(measured), float(bound))
 
     all_finite = all(np.all(np.isfinite(a)) for a in
@@ -161,22 +147,18 @@ class WeakErrorRow:
     z_score: float
 
 
-@dataclass
-class WeakErrorReport:
-    rows: list[WeakErrorRow]
-
-
 def weak_error_compare(tc: TransformedCoefficients, n_steps: int,
                        n_paths: int, seed: int,
-                       test_functions) -> WeakErrorReport:
+                       test_functions) -> list[WeakErrorRow]:
     """Compare terminal-time expectations of tc.source's original scheme
     and the back-mapped transformed scheme under independent noise.
 
     test_functions is a sequence of (name, fn) with fn mapping terminal
     states (n_paths, dim) to scalars per path.  The transformed scheme's
     seed is decoupled from seed deterministically, and matching laws
-    give |z| <= 3 up to rare fluctuations.  pushforward_discrepancy is
-    the shared-noise, path-by-path comparison.
+    give |z| <= 3 up to rare fluctuations.  Returns one row per test
+    function.  pushforward_discrepancy is the shared-noise, path-by-path
+    comparison.
     """
     orig = simulate_original(tc.source, n_steps, n_paths, seed)
     trans = simulate_transformed(tc, n_steps, n_paths, seed ^ _SEED_DECOUPLE)
@@ -195,15 +177,13 @@ def weak_error_compare(tc: TransformedCoefficients, n_steps: int,
         rows.append(WeakErrorRow(name=name, mean_original=mo,
                                  mean_mapped_back=mb, std_error=se,
                                  z_score=float(z)))
-    return WeakErrorReport(rows=rows)
+    return rows
 
 
 @dataclass
 class ConvergenceTable:
     """Errors against resolution with a log-log least squares fit."""
 
-    resolutions: np.ndarray
-    errors: np.ndarray
     slope: float | None
     degenerate: bool = False
     monotone_violations: int = 0
@@ -214,15 +194,16 @@ class ConvergenceTable:
             raise ValueError("a convergence table needs at least 3 rows")
         res = np.array([p[0] for p in pairs], dtype=float)
         err = np.array([p[1] for p in pairs], dtype=float)
+        if len(set(res.tolist())) < res.size:
+            raise ValueError("a convergence table needs distinct resolutions")
         order = np.argsort(res)[::-1]
         res, err = res[order], err[order]
         violations = int(np.sum(np.diff(err) > 0))
         if np.any(err <= 0.0):
-            return cls(resolutions=res, errors=err, slope=None,
-                       degenerate=True, monotone_violations=violations)
+            return cls(slope=None, degenerate=True,
+                       monotone_violations=violations)
         slope = float(np.polyfit(np.log(res), np.log(err), 1)[0])
-        return cls(resolutions=res, errors=err, slope=slope,
-                   monotone_violations=violations)
+        return cls(slope=slope, monotone_violations=violations)
 
 
 def strong_order_estimate(tables) -> ConvergenceTable:

@@ -84,7 +84,6 @@ class AssumptionEntry:
 
 @dataclass
 class AssumptionReport:
-    model_name: str
     entries: dict[str, AssumptionEntry]
 
     @property
@@ -170,8 +169,7 @@ def check_assumptions(model: ModelSpec) -> AssumptionReport:
         m_sup = float(np.sqrt((mv[:, None, :] @ mv[:, :, None]).max()))
         entries["a3"] = AssumptionEntry(np.isfinite(m_sup), {"m_norm_sup": m_sup})
 
-    return AssumptionReport(model_name=model.name or model.drift.name,
-                            entries=entries)
+    return AssumptionReport(entries=entries)
 
 
 # ---------------------------------------------------------------------------

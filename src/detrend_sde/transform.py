@@ -101,23 +101,13 @@ class PathEnsemble:
     paths: np.ndarray
     seed: int
     scheme: str
-    flagged: np.ndarray = field(default=None)
+    flagged: np.ndarray
     g_steps: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.flagged is None:
-            self.flagged = np.zeros(self.paths.shape[0], dtype=bool)
         dt = np.diff(self.times)
         if not np.all(dt > 0):
             raise ValueError("times must be strictly increasing")
-
-    @property
-    def n_paths(self) -> int:
-        return self.paths.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.paths.shape[2]
 
 
 def _uniform_times(T: float, n_steps: int, n_paths: int = 1) -> np.ndarray:

@@ -274,10 +274,10 @@ def test_criterion_09_weak_consistency():
     for name, kw in (("linear", dict(b=0.5)), ("sine", {})):
         model = builtin_model(name, **kw)
         tc = make_transform(model)
-        rep = weak_error_compare(
+        rows = weak_error_compare(
             tc, 512, 10_000, seed=9,
             test_functions=[("sq_norm", lambda y: (y ** 2).sum(axis=1))])
-        worst_z = max(worst_z, abs(rep.rows[0].z_score))
+        worst_z = max(worst_z, abs(rows[0].z_score))
     passed = worst_z <= WEAK_Z_MAX
     announce(9, "weak-consistency", passed, f"max |z| {worst_z:.2f}")
     assert passed

@@ -208,6 +208,47 @@ def test_verify_jacobian_limit_uses_configured_flow_tol(tmp_path, monkeypatch):
     assert seen == [1e-8]
 
 
+def test_verify_chain_checks_run_the_configured_chain(tmp_path, monkeypatch):
+    # verify's chain gates run transform-chain's chain: the configured
+    # quadrature rule and innovation, on at most 16 paths and 128 steps.
+    seen = {}
+    for name, key in (("simulate_chain", "innovation"),
+                      ("transform_chain", "quad_nodes")):
+        def spy(*args, _fn=getattr(cli, name), _key=key, **kwargs):
+            bound = inspect.signature(_fn).bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen.setdefault(_key, []).append(bound.arguments[_key])
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(cli, name, spy)
+    chain_cfg = ["--set", "transform.quad_nodes=4",
+                 "--set", "simulation.innovation=rademacher",
+                 "--set", "partition.n=32", "--set", "simulation.n_paths=4"]
+    main(["verify", *chain_cfg,
+          "--set", 'suite=["assumptions","chain_identity"]',
+          "--out", str(tmp_path / "verify")])
+    assert seen == {"innovation": ["rademacher"], "quad_nodes": [4]}
+    assert main(["transform-chain", *chain_cfg,
+                 "--out", str(tmp_path / "chain")]) in (EXIT_OK, EXIT_NUMERICAL)
+    report = json.loads((tmp_path / "verify" / "verify_report.json").read_text())
+    summary = json.loads((tmp_path / "chain" / "chain_summary.json").read_text())
+    measured = {c["name"]: c["measured"] for c in report["checks"]}
+    assert measured["chain_identity"] == summary["identity_residual_max"]
+
+
+@pytest.mark.parametrize("command", ["transform-chain", "verify"])
+def test_all_diverged_chain_exits_4(tmp_path, capsys, monkeypatch, command):
+    real = cli.transform_chain
+
+    def diverged(*args, **kwargs):
+        tr = real(*args, **kwargs)
+        tr.flagged[:] = True
+        return tr
+    monkeypatch.setattr(cli, "transform_chain", diverged)
+    code = main([command, *FAST_CHAIN, "--out", str(tmp_path)])
+    assert code == EXIT_NUMERICAL
+    assert "all chain paths diverged" in capsys.readouterr().err
+
+
 def test_linalg_error_exits_4(tmp_path, monkeypatch):
     # LinAlgError subclasses ValueError but is a numerical failure, not
     # a configuration error.
@@ -281,14 +322,19 @@ def test_config_section_of_wrong_type_exits_2(tmp_path, capsys, expr, message):
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["transform-sde", "transform-chain"])
+@pytest.mark.parametrize("command", ["transform-sde", "transform-chain",
+                                     "verify"])
 @pytest.mark.parametrize("expr", ["transform.quad_nodes=1",
                                   "transform.inversion_tol=nan",
-                                  "transform.flow_tol=-1"])
+                                  "transform.flow_tol=-1",
+                                  "simulation.innovation=bogus",
+                                  "partition.kind=bogus",
+                                  "simulation.n_steps=[4,4,4]"])
 def test_bad_transform_setting_exits_2_before_any_work(tmp_path, capsys,
                                                        command, expr):
     assert main([command, "--set", expr, "--out", str(tmp_path)]) == EXIT_CONFIG
-    assert "config error: transform." in capsys.readouterr().err
+    key = expr.split("=")[0]
+    assert f"config error: {key} must" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 

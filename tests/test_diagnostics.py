@@ -141,13 +141,13 @@ def test_scan_report_round_trips_through_json():
 def test_weak_error_independent_seeds_reasonable():
     model = builtin_model("linear", b=0.5, m0=0.3, sigma0=0.8)
     tc = make_transform(model)
-    rep = weak_error_compare(tc, 64, 2000, seed=42,
-                             test_functions=[("sq", lambda y: (y ** 2).sum(axis=1)),
-                                             ("first", lambda y: y[:, 0])])
-    for row in rep.rows:
+    rows = weak_error_compare(tc, 64, 2000, seed=42,
+                              test_functions=[("sq", lambda y: (y ** 2).sum(axis=1)),
+                                              ("first", lambda y: y[:, 0])])
+    for row in rows:
         assert row.std_error > 0
         assert abs(row.z_score) < 5.0
-    assert {r.name for r in rep.rows} == {"sq", "first"}
+    assert {r.name for r in rows} == {"sq", "first"}
 
 
 def test_convergence_table_recovers_slope():
@@ -169,6 +169,12 @@ def test_convergence_table_degenerate_on_zero_error():
 def test_convergence_table_needs_three_rows():
     with pytest.raises(ValueError):
         ConvergenceTable.from_pairs([(8, 0.1), (16, 0.05)])
+
+
+def test_convergence_table_rejects_repeated_resolutions():
+    # A repeated step size leaves polyfit rank-deficient: no slope.
+    with pytest.raises(ValueError, match="distinct resolutions"):
+        ConvergenceTable.from_pairs([(8, 0.1), (8, 0.1), (16, 0.05)])
 
 
 def test_strong_order_estimate_noiseless_euler():

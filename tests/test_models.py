@@ -75,7 +75,6 @@ def test_builtins_pass_assumption_check(name):
     model = builtin_model(name)
     report = check_assumptions(model)
     assert report.passed, report.entries
-    assert report.model_name == model.name
     assert set(report.entries) == {"a1", "a2", "a3"}
 
 

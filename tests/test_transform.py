@@ -187,7 +187,6 @@ def test_transformed_ensemble_metadata(sine1_model):
     tc = make_transform(sine1_model)
     ens = simulate_transformed(tc, 8, 3, seed=5)
     assert ens.scheme == "transformed"
-    assert ens.n_paths == 3 and ens.dim == 1
     assert ens.times[0] == 0.0 and ens.times[-1] == sine1_model.horizon
 
 

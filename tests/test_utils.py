@@ -112,9 +112,7 @@ def test_public_surface():
             (chain.Partition, "floor_index"),
             (diagnostics.ConvergenceTable, "to_dict"),
             (diagnostics.ConvergenceTable, "fit_residual"),
-            (diagnostics.WeakErrorReport, "shared_noise"),
-            (diagnostics.WeakErrorReport, "strong_discrepancy"),
-            (diagnostics.WeakErrorReport, "to_dict"),
+            (diagnostics, "WeakErrorReport"), (detrend_sde, "WeakErrorReport"),
             (diagnostics.WeakErrorRow, "to_dict"),
             (models.AssumptionReport, "to_dict"),
             (models, "drift_from_function"), (models, "fd_jacobian"),
@@ -134,9 +132,15 @@ def test_public_surface():
             (chain.BrokenLine, "partition"),
             (transform.DiscrepancyTable, "n_paths"),
             (transform.DiscrepancyTable, "seed"),
-            (diagnostics.WeakErrorReport, "n_paths"),
-            (diagnostics.WeakErrorReport, "n_steps"),
-            (cli.PartitionConfig, "T")]
+            (cli.PartitionConfig, "T"),
+            (chain.ChainRun, "innovation_kind"),
+            (models.AssumptionReport, "model_name"),
+            (chain.BrokenLine, "drift"),
+            (diagnostics.ConvergenceTable, "resolutions"),
+            (diagnostics.ConvergenceTable, "errors"),
+            (transform.PathEnsemble, "n_paths"), (transform.PathEnsemble, "dim"),
+            (diagnostics.SupEntry, "to_dict"),
+            (diagnostics.CheckEntry, "to_dict")]
     for owner, name in gone:
         assert name not in names
         assert not hasattr(owner, name), name
@@ -152,6 +156,8 @@ def test_public_surface():
                        (models.ModelSpec, "dim"),
                        (chain.Partition, "steps")):
         assert option not in inspect.signature(fn).parameters, option
+    flagged = inspect.signature(transform.PathEnsemble).parameters["flagged"]
+    assert flagged.default is inspect.Parameter.empty
 
 
 def test_sample_time_box_include_ends():
